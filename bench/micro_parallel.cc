@@ -34,18 +34,18 @@
 //                          rep under the contention profiler (obs/profile.h)
 //                          and write every window's ProfileReport — labeled
 //                          "<path>/threads=N" — to PATH as a JSON dump that
-//                          tools/iq_prof ingests. Profiling is OFF during
+//                          `iq_obs prof` ingests. Profiling is OFF during
 //                          the timed reps, so this flag does not perturb the
 //                          reported seconds.
 //   --slow-trace-nanos=N   enable causal tracing with an N-nanosecond
 //                          tail-capture threshold (DESIGN.md §14) for the
 //                          whole run; root solves at or over N are retained
 //                          in the last-K store. Use a low N (e.g. 1000) to
-//                          force retention for the trace-smoke CI lane.
+//                          force retention for the obs-smoke CI lane.
 //   --scrape-tracez=PATH   after the run, GET /tracez over loopback and
 //                          write the payload to PATH (starts an ephemeral
 //                          exporter when no --exporter-port= was given);
-//                          tools/iq_trace and check_metrics.sh --trace
+//                          `iq_obs trace` and check_metrics.sh --trace
 //                          consume the file.
 //
 // Note on expectations: speedup > 1 needs real cores. On a single-core
@@ -286,7 +286,7 @@ Status WriteJson(const std::string& path,
 }
 
 /// The --profile= dump: run metadata plus every cell's ProfileReport, in
-/// the line-oriented JSON that tools/iq_prof re-ingests.
+/// the line-oriented JSON that `iq_obs prof` re-ingests.
 Status WriteProfileDump(const std::string& path,
                         const std::vector<ProfileReport>& profiles) {
   std::string json = "{\"bench\":\"micro_parallel\",\"run\":" +

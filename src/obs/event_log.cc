@@ -6,45 +6,12 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "util/json.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace iq {
 namespace {
-
-/// JSON string escaping for the free-form `note` field: quotes, backslashes
-/// and control characters (JSONL must stay one-event-per-line, so newlines
-/// in particular must not survive verbatim).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::atomic<uint64_t> g_dropped{0};
 
@@ -153,7 +120,7 @@ EventLog::Stripe& EventLog::StripeForThisThread() {
 
 void EventLog::Record(Event e) {
   e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  e.t_ns = TraceNowNanos();
+  e.t_ns = MonotonicNanos();
   recorded_.fetch_add(1, std::memory_order_relaxed);
   Stripe& stripe = StripeForThisThread();
   MutexLock lock(&stripe.mu);

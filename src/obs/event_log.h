@@ -47,7 +47,7 @@ struct Event {
   EventType type = EventType::kError;
   /// Global recording order (assigned by Record).
   uint64_t seq = 0;
-  /// TraceNowNanos() at Record time (same clock as the trace rings).
+  /// MonotonicNanos() at Record time (same clock as the trace rings).
   uint64_t t_ns = 0;
 
   const char* op = nullptr;      // "MinCost", "Build", "OnObjectRemoved", ...

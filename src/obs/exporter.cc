@@ -13,6 +13,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace iq {
 namespace {
@@ -294,7 +295,7 @@ Status MetricsExporter::Start(int port) {
     return st;
   }
   listen_fd_ = fd;
-  start_ns_ = TraceNowNanos();
+  start_ns_ = MonotonicNanos();
   stop_.store(false, std::memory_order_release);
   port_.store(static_cast<int>(ntohs(addr.sin_port)),
               std::memory_order_release);
@@ -346,7 +347,7 @@ void MetricsExporter::ServeLoop(int listen_fd, uint64_t start_ns) {
         }
       }
       WriteAll(client,
-               ExporterResponseForPath(path, TraceNowNanos() - start_ns));
+               ExporterResponseForPath(path, MonotonicNanos() - start_ns));
     }
     ::close(client);
   }

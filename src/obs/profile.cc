@@ -7,7 +7,10 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "util/json.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace iq {
 namespace {
@@ -31,78 +34,6 @@ uint64_t UnionLength(std::vector<std::pair<uint64_t, uint64_t>> spans) {
   return total + (cur_end - cur_begin);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-std::string FormatNanos(uint64_t ns) {
-  if (ns >= 1000000000ULL) {
-    return StrFormat("%.2f s", static_cast<double>(ns) / 1e9);
-  }
-  if (ns >= 1000000ULL) {
-    return StrFormat("%.2f ms", static_cast<double>(ns) / 1e6);
-  }
-  if (ns >= 1000ULL) {
-    return StrFormat("%.2f us", static_cast<double>(ns) / 1e3);
-  }
-  return StrFormat("%llu ns", static_cast<unsigned long long>(ns));
-}
-
-/// Extracts the raw token after `"key":` on `line`; false when absent.
-/// Quoted values lose their quotes; bare values are trimmed at , } ] or
-/// end-of-line. Tolerant by construction — this is the iq_prof ingestion
-/// path and must survive hand-edited or truncated dumps.
-bool FindRawValue(const std::string& line, const char* key,
-                  std::string* out) {
-  std::string needle = StrFormat("\"%s\":", key);
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  size_t v = pos + needle.size();
-  while (v < line.size() && line[v] == ' ') ++v;
-  if (v >= line.size()) return false;
-  if (line[v] == '"') {
-    size_t e = line.find('"', v + 1);
-    if (e == std::string::npos) return false;
-    *out = line.substr(v + 1, e - v - 1);
-    return true;
-  }
-  size_t e = line.find_first_of(",}]", v);
-  if (e == std::string::npos) e = line.size();
-  *out = std::string(StrTrim(line.substr(v, e - v)));
-  return !out->empty();
-}
-
-uint64_t FindU64(const std::string& line, const char* key) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return 0;
-  auto v = ParseInt(raw);
-  return v.ok() && *v >= 0 ? static_cast<uint64_t>(*v) : 0;
-}
-
-double FindDouble(const std::string& line, const char* key) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return 0.0;
-  auto v = ParseDouble(raw);
-  return v.ok() ? *v : 0.0;
-}
-
 }  // namespace
 
 double ProfileReport::ProjectedSpeedup(int n) const {
@@ -119,7 +50,8 @@ ProfileReport BuildProfileReport(const std::string& label,
   r.enabled = true;
   r.window_nanos =
       window_end_ns > window_start_ns ? window_end_ns - window_start_ns : 0;
-  r.dropped_records = prof::DroppedRecords();
+  TraceCollector& tc = TraceCollector::Global();
+  r.dropped_records = prof::DroppedRecords() + tc.DroppedCount();
 
   for (const prof::MutexSiteStats& s : prof::SnapshotMutexSites()) {
     MutexSiteReport m;
@@ -141,6 +73,15 @@ ProfileReport BuildProfileReport(const std::string& label,
               return a.label < b.label;
             });
 
+  // Pool spans from the trace rings (util/thread_pool.h). Chunks count
+  // calls by their parent call span, and a chunk on another thread than its
+  // call span ran on a pool worker. Empty chunks only mark a worker that
+  // found the range drained.
+  const std::vector<TraceEvent> spans = tc.BufferedEvents();
+  std::map<uint64_t, int> call_tid;
+  for (const TraceEvent& e : spans) {
+    if (e.kind == SpanKind::kParallelFor) call_tid[e.span_id] = e.tid;
+  }
   struct SiteAccum {
     std::set<uint64_t> calls;
     std::vector<uint64_t> durations;
@@ -151,21 +92,32 @@ ProfileReport BuildProfileReport(const std::string& label,
     uint64_t steals = 0;
   };
   std::map<std::string, SiteAccum> sites;
+  std::map<int, std::vector<std::pair<uint64_t, uint64_t>>> worker_spans;
   std::vector<std::pair<uint64_t, uint64_t>> all_spans;
-  for (const prof::ChunkSpan& c : prof::SnapshotChunkSpans()) {
+  for (const TraceEvent& c : spans) {
+    if (c.kind != SpanKind::kChunk) continue;
     // Clip to the window; spans entirely outside it belong to another run.
     const uint64_t b = std::max(c.start_ns, window_start_ns);
-    const uint64_t e = std::min(c.end_ns, window_end_ns);
-    if (e <= b) continue;
-    SiteAccum& acc = sites[c.site != nullptr ? c.site : "(unlabeled)"];
-    acc.calls.insert(c.call_id);
+    const uint64_t e = std::min(c.start_ns + c.dur_ns, window_end_ns);
+    if (e < b) continue;
+    auto call = call_tid.find(c.parent_span_id);
+    const bool on_worker = call != call_tid.end() && call->second != c.tid;
+    std::vector<std::pair<uint64_t, uint64_t>>* busy =
+        on_worker ? &worker_spans[c.tid] : nullptr;
+    if (c.arg0 == 0 || e == b) continue;
+    SiteAccum& acc = sites[c.name];
+    acc.calls.insert(c.parent_span_id);
     acc.durations.push_back(e - b);
     acc.spans.emplace_back(b, e);
-    acc.items += c.items;
+    acc.items += c.arg0;
     acc.busy += e - b;
-    acc.claims += c.claims;
-    acc.steals += c.steals;
+    // A chunk with a steals arg is a run of single-item claims
+    // (ChunkPolicy::kDynamic); one without is a single static claim.
+    const bool per_item = c.arg1 != TraceEvent::kNoArg;
+    acc.claims += per_item ? static_cast<uint64_t>(c.arg0) : 1;
+    acc.steals += per_item ? static_cast<uint64_t>(c.arg1) : 0;
     all_spans.emplace_back(b, e);
+    if (busy != nullptr) busy->emplace_back(b, e);
   }
   r.coverage_nanos = UnionLength(std::move(all_spans));
   for (auto& [site, acc] : sites) {
@@ -201,29 +153,12 @@ ProfileReport BuildProfileReport(const std::string& label,
                        0.0, 1.0)
           : 1.0;
 
-  std::map<uint32_t, std::vector<prof::WorkerEvent>> by_worker;
-  for (const prof::WorkerEvent& e : prof::SnapshotWorkerEvents()) {
-    by_worker[e.worker].push_back(e);
-  }
-  for (auto& [id, events] : by_worker) {
-    std::sort(events.begin(), events.end(),
-              [](const prof::WorkerEvent& a, const prof::WorkerEvent& b) {
-                return a.t_ns < b.t_ns;
-              });
+  // A worker is busy inside its chunks and idle for the rest of the window.
+  for (auto& [tid, busy] : worker_spans) {
     WorkerReport w;
-    w.worker = id;
-    for (size_t i = 0; i < events.size(); ++i) {
-      const uint64_t b = std::max(events[i].t_ns, window_start_ns);
-      const uint64_t e = std::min(
-          i + 1 < events.size() ? events[i + 1].t_ns : window_end_ns,
-          window_end_ns);
-      if (e <= b) continue;
-      if (events[i].state == prof::WorkerState::kRunning) {
-        w.running_nanos += e - b;
-      } else {
-        w.idle_nanos += e - b;
-      }
-    }
+    w.worker = static_cast<uint32_t>(tid);
+    w.running_nanos = UnionLength(std::move(busy));
+    w.idle_nanos = r.window_nanos - std::min(r.window_nanos, w.running_nanos);
     r.workers.push_back(w);
   }
   return r;
@@ -301,13 +236,14 @@ std::string ProfileReport::ToJson() const {
 void ProfileSession::Start() {
   prof::SetEnabled(false);
   prof::Reset();
+  TraceCollector::Global().Clear();
   prof::SetEnabled(true);
   start_ns_ = prof::EnabledSinceNanos();
   active_ = true;
 }
 
 ProfileReport ProfileSession::Stop(const std::string& label) {
-  const uint64_t end_ns = prof::NowNanos();
+  const uint64_t end_ns = MonotonicNanos();
   prof::SetEnabled(false);
   active_ = false;
   return BuildProfileReport(label, start_ns_, end_ns);
@@ -321,28 +257,8 @@ std::string CurrentProfileJson() {
     return r.ToJson();
   }
   return BuildProfileReport("live", prof::EnabledSinceNanos(),
-                            prof::NowNanos())
+                            MonotonicNanos())
       .ToJson();
-}
-
-std::string ChromeTraceJson() {
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (const prof::ChunkSpan& c : prof::SnapshotChunkSpans()) {
-    out += StrFormat(
-        "%s\n{\"name\": \"%s\", \"cat\": \"parallel_for\", \"ph\": \"X\", "
-        "\"pid\": 0, \"tid\": %u, \"ts\": %.3f, \"dur\": %.3f, "
-        "\"args\": {\"items\": %lld, \"call\": %llu}}",
-        first ? "" : ",",
-        JsonEscape(c.site != nullptr ? c.site : "(unlabeled)").c_str(),
-        c.worker, static_cast<double>(c.start_ns) / 1e3,
-        static_cast<double>(c.end_ns - c.start_ns) / 1e3,
-        static_cast<long long>(c.items),
-        static_cast<unsigned long long>(c.call_id));
-    first = false;
-  }
-  out += "\n]}\n";
-  return out;
 }
 
 void PublishProfileMetrics(const ProfileReport& report) {
@@ -366,9 +282,8 @@ std::vector<ProfileReport> ParseProfileReports(const std::string& text) {
   std::vector<ProfileReport> reports;
   ProfileReport* cur = nullptr;
   std::string raw;
-  for (std::string_view line_view : StrSplit(text, '\n')) {
-    const std::string line(line_view);
-    if (FindRawValue(line, "profile_label", &raw)) {
+  for (const std::string& line : StrSplit(text, '\n')) {
+    if (JsonFindValue(line, "profile_label", &raw)) {
       reports.emplace_back();
       cur = &reports.back();
       cur->label = raw;
@@ -376,60 +291,53 @@ std::vector<ProfileReport> ParseProfileReports(const std::string& text) {
       continue;
     }
     if (cur == nullptr) continue;
-    if (FindRawValue(line, "mutex", &raw)) {
+    if (JsonFindValue(line, "mutex", &raw)) {
       MutexSiteReport m;
       m.label = raw;
-      if (FindRawValue(line, "rank", &raw)) m.rank = raw;
-      m.acquisitions = FindU64(line, "acquisitions");
-      m.contended = FindU64(line, "contended");
-      m.wait_nanos = FindU64(line, "wait_nanos");
-      m.max_wait_nanos = FindU64(line, "max_wait_nanos");
-      m.held_nanos = FindU64(line, "held_nanos");
+      if (JsonFindValue(line, "rank", &raw)) m.rank = raw;
+      m.acquisitions = JsonFindU64(line, "acquisitions");
+      m.contended = JsonFindU64(line, "contended");
+      m.wait_nanos = JsonFindU64(line, "wait_nanos");
+      m.max_wait_nanos = JsonFindU64(line, "max_wait_nanos");
+      m.held_nanos = JsonFindU64(line, "held_nanos");
       cur->mutexes.push_back(std::move(m));
       continue;
     }
-    if (FindRawValue(line, "site", &raw)) {
+    if (JsonFindValue(line, "site", &raw)) {
       ParallelSiteReport p;
       p.site = raw;
-      p.calls = FindU64(line, "calls");
-      p.chunks = FindU64(line, "chunks");
-      p.items = static_cast<int64_t>(FindU64(line, "items"));
-      p.busy_nanos = FindU64(line, "busy_nanos");
-      p.coverage_nanos = FindU64(line, "site_coverage_nanos");
-      p.median_chunk_nanos = FindU64(line, "median_chunk_nanos");
-      p.max_chunk_nanos = FindU64(line, "max_chunk_nanos");
-      p.imbalance = FindDouble(line, "imbalance");
-      p.claims = FindU64(line, "claims");
-      p.steals = FindU64(line, "steals");
+      p.calls = JsonFindU64(line, "calls");
+      p.chunks = JsonFindU64(line, "chunks");
+      p.items = JsonFindInt(line, "items");
+      p.busy_nanos = JsonFindU64(line, "busy_nanos");
+      p.coverage_nanos = JsonFindU64(line, "site_coverage_nanos");
+      p.median_chunk_nanos = JsonFindU64(line, "median_chunk_nanos");
+      p.max_chunk_nanos = JsonFindU64(line, "max_chunk_nanos");
+      p.imbalance = JsonFindDouble(line, "imbalance");
+      p.claims = JsonFindU64(line, "claims");
+      p.steals = JsonFindU64(line, "steals");
       cur->parallel_sites.push_back(std::move(p));
       continue;
     }
-    if (FindRawValue(line, "worker", &raw)) {
+    if (JsonFindValue(line, "worker", &raw)) {
       WorkerReport w;
-      auto id = ParseInt(raw);
-      w.worker = id.ok() && *id >= 0 ? static_cast<uint32_t>(*id) : 0;
-      w.running_nanos = FindU64(line, "running_nanos");
-      w.idle_nanos = FindU64(line, "idle_nanos");
+      w.worker = static_cast<uint32_t>(JsonFindU64(line, "worker"));
+      w.running_nanos = JsonFindU64(line, "running_nanos");
+      w.idle_nanos = JsonFindU64(line, "idle_nanos");
       cur->workers.push_back(w);
       continue;
     }
-    if (FindRawValue(line, "enabled", &raw)) cur->enabled = raw == "true";
-    if (line.find("\"window_nanos\":") != std::string::npos) {
-      cur->window_nanos = FindU64(line, "window_nanos");
-    }
-    if (line.find("\"coverage_nanos\":") != std::string::npos &&
-        line.find("site_coverage") == std::string::npos) {
-      cur->coverage_nanos = FindU64(line, "coverage_nanos");
-    }
-    if (line.find("\"serial_fraction\":") != std::string::npos) {
-      cur->serial_fraction = FindDouble(line, "serial_fraction");
-    }
-    if (line.find("\"total_wait_nanos\":") != std::string::npos) {
-      cur->total_wait_nanos = FindU64(line, "total_wait_nanos");
-    }
-    if (line.find("\"dropped_records\":") != std::string::npos) {
-      cur->dropped_records = FindU64(line, "dropped_records");
-    }
+    // The report's own fields sit one per line; absent keys keep the value.
+    if (JsonFindValue(line, "enabled", &raw)) cur->enabled = raw == "true";
+    cur->window_nanos = JsonFindU64(line, "window_nanos", cur->window_nanos);
+    cur->coverage_nanos =
+        JsonFindU64(line, "coverage_nanos", cur->coverage_nanos);
+    cur->serial_fraction =
+        JsonFindDouble(line, "serial_fraction", cur->serial_fraction);
+    cur->total_wait_nanos =
+        JsonFindU64(line, "total_wait_nanos", cur->total_wait_nanos);
+    cur->dropped_records =
+        JsonFindU64(line, "dropped_records", cur->dropped_records);
   }
   return reports;
 }
@@ -485,9 +393,9 @@ std::string ProfileVerdict(const ProfileReport& r) {
 
 std::string FormatSerializationReport(
     const std::vector<ProfileReport>& reports, int top_n) {
-  if (reports.empty()) return "iq_prof: no profiles found in input\n";
+  if (reports.empty()) return "iq_obs prof: no profiles found in input\n";
   std::string out =
-      StrFormat("iq_prof serialization report — %zu profile%s\n",
+      StrFormat("iq_obs prof: serialization report — %zu profile%s\n",
                 reports.size(), reports.size() == 1 ? "" : "s");
   for (const ProfileReport& r : reports) {
     out += StrFormat(

@@ -8,11 +8,12 @@
 #include "util/lock_rank.h"
 #include "util/prof.h"
 
-// Scalability-profile aggregation (DESIGN.md §11). util/prof.h captures the
-// raw material — per-thread mutex slots, ParallelFor chunk spans, worker
-// state timelines — and this module turns one capture window into a
-// ProfileReport answering the question the flat micro_parallel speedup
-// raises: *where does the wall-clock go when threads are added?*
+// Scalability-profile aggregation (DESIGN.md §11). One capture window
+// becomes a ProfileReport answering the question the flat micro_parallel
+// speedup raises: *where does the wall-clock go when threads are added?*
+// Its raw material is the mutex site stats of util/prof.h plus the
+// ParallelFor call and chunk spans ThreadPool records into the obs/trace.h
+// rings while profiling is on (the one span store):
 //
 //   * per-mutex-site wait/held totals, ranked — lock contention;
 //   * per-ParallelFor-site coverage, chunk counts and imbalance
@@ -21,11 +22,11 @@
 //     Amdahl speedup it projects at 2/4/8/16 threads — the structural
 //     ceiling no amount of threads moves.
 //
-// Reports export three ways: line-oriented JSON (ToJson — tools/iq_prof
-// re-ingests it with ParseProfileReports), Chrome-trace spans
-// (ChromeTraceJson, load in chrome://tracing or Perfetto), and gauges on the
-// /metrics endpoint (PublishProfileMetrics). The exporter serves the live
-// report at /profilez.
+// Reports export as line-oriented JSON (ToJson — `iq_obs prof` re-ingests
+// it with ParseProfileReports) and as gauges on the /metrics endpoint
+// (PublishProfileMetrics). The exporter serves the live report at
+// /profilez; the spans themselves render as Perfetto JSON through
+// obs/trace.h.
 
 namespace iq {
 
@@ -61,7 +62,9 @@ struct ParallelSiteReport {
   uint64_t steals = 0;
 };
 
-/// One pool worker's busy/idle split over the window.
+/// One pool worker's busy/idle split over the window: busy is the union of
+/// its chunk spans, idle the rest of the window. `worker` is the trace
+/// collector's thread id.
 struct WorkerReport {
   uint32_t worker = 0;
   uint64_t running_nanos = 0;
@@ -76,7 +79,9 @@ struct ProfileReport {
   uint64_t coverage_nanos = 0;   // union of ALL chunk spans in the window
   double serial_fraction = 1.0;  // 1 - coverage/window (1.0 = no parallelism)
   uint64_t total_wait_nanos = 0;  // sum of mutex wait over all sites
-  uint64_t dropped_records = 0;   // capture-buffer overflow (see util/prof.h)
+  /// Capture loss: mutex-table overflow (util/prof.h) plus trace-ring
+  /// overwrites since the last TraceCollector::Clear().
+  uint64_t dropped_records = 0;
   std::vector<MutexSiteReport> mutexes;         // sorted by wait desc
   std::vector<ParallelSiteReport> parallel_sites;  // sorted by busy desc
   std::vector<WorkerReport> workers;            // sorted by worker id
@@ -86,22 +91,24 @@ struct ProfileReport {
 
   /// Line-oriented JSON: every record on its own line with distinctive keys
   /// ("profile_label", "mutex", "site", "worker"), so ParseProfileReports
-  /// can re-ingest it with a tolerant line scanner — no JSON library in the
-  /// tree. The output is nonetheless valid JSON.
+  /// can re-ingest it with the util/json.h line scanner. The output is
+  /// nonetheless valid JSON.
   std::string ToJson() const;
 };
 
-/// Builds a report from the current util/prof.h capture buffers over
-/// [window_start_ns, window_end_ns] on the capture clock. Records outside
-/// the window are clipped (spans) or included as-is (mutex slots are
-/// cumulative since the last Reset — callers Reset at window start).
+/// Builds a report from the mutex site stats and the trace rings' pool spans
+/// over [window_start_ns, window_end_ns] (util/timer.h MonotonicNanos).
+/// Records outside the window are clipped (spans) or included as-is (mutex
+/// slots are cumulative since the last Reset — callers Reset at window
+/// start).
 ProfileReport BuildProfileReport(const std::string& label,
                                  uint64_t window_start_ns,
                                  uint64_t window_end_ns);
 
-/// Start/stop wrapper the benches use: Start() resets capture and enables
-/// profiling; Stop(label) disables it and aggregates the window. Not
-/// thread-safe — one session at a time, owned by the driver (main thread).
+/// Start/stop wrapper the benches use: Start() resets the mutex stats and
+/// the trace rings and enables profiling; Stop(label) disables it and
+/// aggregates the window. Not thread-safe — one session at a time, owned by
+/// the driver (main thread).
 class ProfileSession {
  public:
   void Start();
@@ -119,10 +126,6 @@ class ProfileSession {
 /// line, so scrapers need no special empty case.
 std::string CurrentProfileJson();
 
-/// Chrome-trace (chrome://tracing / Perfetto) JSON of the raw capture:
-/// one complete event ("ph":"X") per ParallelFor chunk, tid = worker id.
-std::string ChromeTraceJson();
-
 /// Publishes a report's headline numbers as gauges on the global metrics
 /// registry, using embedded-label names the exporter renders as Prometheus
 /// labels (label blocks are `{key=value}` — no quotes — see
@@ -132,11 +135,11 @@ std::string ChromeTraceJson();
 ///                                          (gauges are integers; 2500 = 2.5x)
 void PublishProfileMetrics(const ProfileReport& report);
 
-// ---- ingestion + reporting (the tools/iq_prof core, testable in-process) --
+// ---- ingestion + reporting (the `iq_obs prof` core, testable in-process) --
 
 /// Parses every ProfileReport found in `text` — a single ToJson() report, a
 /// /profilez scrape, or a micro_parallel --profile= dump with a "profiles"
-/// array. Tolerant line scanner: unknown lines are skipped, a
+/// array. util/json.h line scanner: unknown lines are skipped, a
 /// "profile_label" line starts a new report.
 std::vector<ProfileReport> ParseProfileReports(const std::string& text);
 
@@ -154,8 +157,8 @@ std::string FormatSerializationReport(
     const std::vector<ProfileReport>& reports, int top_n);
 
 /// Machine form of the same: {"iq_prof": {"num_profiles": N, "verdict":
-/// "...", "profiles": [...]}} — consumed by tools/check_metrics.sh
-/// --profile and CI.
+/// "...", "profiles": [...]}} — written by `iq_obs prof --json=`, consumed
+/// by tools/check_metrics.sh --profile and CI.
 std::string SerializationReportJson(
     const std::vector<ProfileReport>& reports);
 

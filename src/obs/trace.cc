@@ -1,23 +1,45 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace iq {
+namespace {
 
-uint64_t TraceNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+/// Bridges ThreadPool's layering-safe observer hook into obs: util/ may not
+/// depend on obs/, so the pool publishes one callback per executed task
+/// (turned into iq.pool.* metrics here) and one per finished pool span
+/// (recorded into the calling thread's ring like any other span).
+const ThreadPool::TaskObserver kPoolObserver{
+    +[](uint64_t queue_wait_nanos) {
+      struct Cached {
+        Counter* tasks;
+        Histogram* queue_wait;
+      };
+      static Cached c = [] {
+        MetricsRegistry& reg = MetricsRegistry::Global();
+        return Cached{reg.GetCounter("iq.pool.tasks"),
+                      reg.GetHistogram("iq.pool.queue_wait_nanos")};
+      }();
+      c.tasks->Increment();
+      c.queue_wait->Record(queue_wait_nanos);
+    },
+    +[](const TraceEvent& span) { TraceCollector::Global().Record(span); }};
+
+struct PoolObserverInstaller {
+  PoolObserverInstaller() { ThreadPool::SetTaskObserver(&kPoolObserver); }
+};
+const PoolObserverInstaller g_pool_observer_installer;
+
+}  // namespace
 
 int RetainedTrace::NumThreads() const {
   std::set<int> tids;
@@ -78,6 +100,7 @@ namespace {
 
 /// The trailing `"args": {...}` clause of one exported span; empty when the
 /// span carries neither causal ids nor an arg payload (flat pre-root spans).
+/// Pool spans name their payload: items, and steals for dynamic chunks.
 std::string EventArgsJson(const TraceEvent& e) {
   if (e.trace_id == 0 && e.arg0 == TraceEvent::kNoArg) return "";
   std::string args = StrFormat(
@@ -86,66 +109,93 @@ std::string EventArgsJson(const TraceEvent& e) {
       static_cast<unsigned long long>(e.trace_id),
       static_cast<unsigned long long>(e.span_id),
       static_cast<unsigned long long>(e.parent_span_id));
+  const bool pool = e.kind != SpanKind::kScope;
   if (e.arg0 != TraceEvent::kNoArg) {
-    args += StrFormat(", \"arg0\": %lld", static_cast<long long>(e.arg0));
+    args += StrFormat(", \"%s\": %lld", pool ? "items" : "arg0",
+                      static_cast<long long>(e.arg0));
   }
   if (e.arg1 != TraceEvent::kNoArg) {
-    args += StrFormat(", \"arg1\": %lld", static_cast<long long>(e.arg1));
+    args += StrFormat(", \"%s\": %lld", pool ? "steals" : "arg1",
+                      static_cast<long long>(e.arg1));
   }
   args += "}";
   return args;
 }
 
-/// Chrome-trace thread-name metadata event ("ph": "M") for one collector
-/// tid, so viewers label lanes "iq-thread-N" instead of bare integers.
-std::string ThreadNameMetadataJson(int tid, bool first) {
-  return StrFormat(
-      "%s\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
-      "\"tid\": %d, \"args\": {\"name\": \"iq-thread-%d\"}}",
-      first ? "" : ",", tid, tid);
+const char* SpanCategory(SpanKind kind) {
+  if (kind == SpanKind::kParallelFor) return "iq.parallel_for";
+  return kind == SpanKind::kChunk ? "iq.chunk" : "iq";
 }
 
-/// One complete-span line in Chrome trace-event JSON (timestamps in µs).
-std::string SpanJson(const TraceEvent& e, bool first) {
-  return StrFormat(
-      "%s\n  {\"name\": \"%s\", \"cat\": \"iq\", \"ph\": \"X\", "
-      "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d%s}",
-      first ? "" : ",", e.name, static_cast<double>(e.start_ns) / 1e3,
-      static_cast<double>(e.dur_ns) / 1e3, e.tid, EventArgsJson(e).c_str());
+/// The one Perfetto/Chrome trace-event renderer (timestamps in µs): a
+/// thread-name metadata event ("ph": "M") per recording thread so viewers
+/// label lanes "iq-thread-N", one complete event ("ph": "X") per span, and
+/// flow arrows binding each cross-thread child span to its parent.
+std::string PerfettoJson(const std::vector<TraceEvent>& spans) {
+  // tid per span id, for the cross-thread flow arrows below.
+  std::map<uint64_t, int> span_tid;
+  std::set<int> tids;
+  for (const TraceEvent& e : spans) {
+    span_tid[e.span_id] = e.tid;
+    tids.insert(e.tid);
+  }
+  std::string out = "{\"traceEvents\": [";
+  const char* sep = "";
+  for (int tid : tids) {
+    out += StrFormat(
+        "%s\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+        "\"tid\": %d, \"args\": {\"name\": \"iq-thread-%d\"}}",
+        sep, tid, tid);
+    sep = ",";
+  }
+  for (const TraceEvent& e : spans) {
+    out += StrFormat(
+        "%s\n  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
+        "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %d%s}",
+        sep, JsonEscape(e.name).c_str(), SpanCategory(e.kind),
+        static_cast<double>(e.start_ns) / 1e3,
+        static_cast<double>(e.dur_ns) / 1e3, e.tid, EventArgsJson(e).c_str());
+    sep = ",";
+    // Cross-thread parentage is invisible in a per-lane view; a flow arrow
+    // from the parent's lane to the child's start makes the causal hop
+    // explicit in Perfetto. Same-thread children just nest visually.
+    auto parent = span_tid.find(e.parent_span_id);
+    if (parent == span_tid.end() || parent->second == e.tid) continue;
+    const double ts = static_cast<double>(e.start_ns) / 1e3;
+    out += StrFormat(
+        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"s\", "
+        "\"id\": %llu, \"ts\": %.3f, \"pid\": 1, \"tid\": %d}",
+        static_cast<unsigned long long>(e.span_id), ts, parent->second);
+    out += StrFormat(
+        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"f\", "
+        "\"bp\": \"e\", \"id\": %llu, \"ts\": %.3f, \"pid\": 1, "
+        "\"tid\": %d}",
+        static_cast<unsigned long long>(e.span_id), ts, e.tid);
+  }
+  out += "\n], \"displayTimeUnit\": \"ns\"}\n";
+  return out;
 }
 
 }  // namespace
 
-std::string TraceCollector::ToJson() const {
-  // Collect events under the per-buffer locks, then render sorted by start
-  // time so the JSON is stable and diff-friendly.
+std::vector<TraceEvent> TraceCollector::BufferedEvents() const {
   std::vector<TraceEvent> events;
-  std::vector<int> tids;
   {
     MutexLock lock(&mu_);
     for (const auto& buf : buffers_) {
       MutexLock buf_lock(&buf->mu);
-      tids.push_back(buf->tid);
-      for (const TraceEvent& e : buf->ring) events.push_back(e);
+      events.insert(events.end(), buf->ring.begin(), buf->ring.end());
     }
   }
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.start_ns < b.start_ns;
             });
-  std::sort(tids.begin(), tids.end());
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (int tid : tids) {
-    out += ThreadNameMetadataJson(tid, first);
-    first = false;
-  }
-  for (const TraceEvent& e : events) {
-    out += SpanJson(e, first);
-    first = false;
-  }
-  out += "\n], \"displayTimeUnit\": \"ns\"}\n";
-  return out;
+  return events;
+}
+
+std::string TraceCollector::ToJson() const {
+  return PerfettoJson(BufferedEvents());
 }
 
 Status TraceCollector::WriteJson(const std::string& path) const {
@@ -276,9 +326,9 @@ void TraceCollector::ClearRetained() {
 
 namespace {
 
-/// One /tracez span line. Line-oriented on purpose: tools/iq_trace and
-/// tests/check_metrics.sh re-ingest the payload with a tolerant line scanner
-/// (the obs/profile.h idiom) instead of a JSON parser.
+/// One /tracez span line. Line-oriented on purpose: `iq_obs trace` and
+/// tools/check_metrics.sh re-ingest the payload with the util/json.h line
+/// scanner (the obs/profile.h idiom) instead of a JSON parser.
 std::string TracezSpanLine(const TraceEvent& e) {
   std::string line = StrFormat(
       "{\"span\": {\"trace_id\": %llu, \"span_id\": %llu, "
@@ -286,7 +336,8 @@ std::string TracezSpanLine(const TraceEvent& e) {
       "\"start_ns\": %llu, \"dur_ns\": %llu",
       static_cast<unsigned long long>(e.trace_id),
       static_cast<unsigned long long>(e.span_id),
-      static_cast<unsigned long long>(e.parent_span_id), e.name, e.tid,
+      static_cast<unsigned long long>(e.parent_span_id),
+      JsonEscape(e.name).c_str(), e.tid,
       static_cast<unsigned long long>(e.start_ns),
       static_cast<unsigned long long>(e.dur_ns));
   if (e.arg0 != TraceEvent::kNoArg) {
@@ -305,7 +356,7 @@ std::string TracezSummaryLine(const RetainedTrace& t) {
       "\"start_ns\": %llu, \"dur_ns\": %llu, \"erred\": %s, "
       "\"warmup\": %s, \"num_spans\": %zu, \"num_threads\": %d}}",
       static_cast<unsigned long long>(t.trace_id),
-      t.op != nullptr ? t.op : "?",
+      JsonEscape(t.op != nullptr ? t.op : "?").c_str(),
       static_cast<unsigned long long>(t.start_ns),
       static_cast<unsigned long long>(t.dur_ns), t.erred ? "true" : "false",
       t.warmup ? "true" : "false", t.spans.size(), t.NumThreads());
@@ -342,53 +393,16 @@ std::string TraceCollector::TracezJson() const {
 }
 
 std::string TraceCollector::TraceJson(uint64_t trace_id) const {
-  RetainedTrace trace;
-  bool found = false;
+  std::vector<TraceEvent> spans;
   {
     MutexLock lock(&store_mu_);
-    for (const RetainedTrace& t : retained_) {
-      if (t.trace_id == trace_id) {
-        trace = t;
-        found = true;
-        break;
-      }
-    }
+    auto it = std::find_if(
+        retained_.begin(), retained_.end(),
+        [trace_id](const RetainedTrace& t) { return t.trace_id == trace_id; });
+    if (it == retained_.end()) return "";
+    spans = it->spans;
   }
-  if (!found) return "";
-  // tid per span id, for the cross-thread flow arrows below.
-  std::map<uint64_t, int> span_tid;
-  std::set<int> tids;
-  for (const TraceEvent& e : trace.spans) {
-    span_tid[e.span_id] = e.tid;
-    tids.insert(e.tid);
-  }
-  std::string out = "{\"traceEvents\": [";
-  bool first = true;
-  for (int tid : tids) {
-    out += ThreadNameMetadataJson(tid, first);
-    first = false;
-  }
-  for (const TraceEvent& e : trace.spans) {
-    out += SpanJson(e, first);
-    first = false;
-    // Cross-thread parentage is invisible in a per-lane view; a flow arrow
-    // from the parent's lane to the child's start makes the causal hop
-    // explicit in Perfetto. Same-thread children just nest visually.
-    auto parent = span_tid.find(e.parent_span_id);
-    if (parent == span_tid.end() || parent->second == e.tid) continue;
-    const double ts = static_cast<double>(e.start_ns) / 1e3;
-    out += StrFormat(
-        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"s\", "
-        "\"id\": %llu, \"ts\": %.3f, \"pid\": 1, \"tid\": %d}",
-        static_cast<unsigned long long>(e.span_id), ts, parent->second);
-    out += StrFormat(
-        ",\n  {\"name\": \"parent\", \"cat\": \"iq.flow\", \"ph\": \"f\", "
-        "\"bp\": \"e\", \"id\": %llu, \"ts\": %.3f, \"pid\": 1, "
-        "\"tid\": %d}",
-        static_cast<unsigned long long>(e.span_id), ts, e.tid);
-  }
-  out += "\n], \"displayTimeUnit\": \"ns\"}\n";
-  return out;
+  return PerfettoJson(spans);
 }
 
 }  // namespace iq

@@ -10,6 +10,7 @@
 
 #include "util/annotations.h"
 #include "util/status.h"
+#include "util/timer.h"
 #include "util/trace_context.h"
 
 // Causal, request-scoped tracing with tail-based slow-solve capture
@@ -20,7 +21,10 @@
 //    a trace id / span id / parent span id read from the thread's
 //    util/trace_context.h slot, which ThreadPool::ParallelFor propagates
 //    into every chunk body — so the spans of one solve link into a tree
-//    even when they ran on different workers.
+//    even when they ran on different workers. ParallelFor records its own
+//    call and chunk spans into the same rings (util/thread_pool.h), which
+//    makes the rings the one span store: traces split into ParallelFor
+//    layers, and obs/profile.h builds its chunk statistics from them.
 //
 //  * Root spans + tail retention: IQ_TRACE_ROOT_SCOPE(root, "op") opens a
 //    *root* span at a solve entry point (MinCost / MaxHit / ApplyStrategy /
@@ -49,31 +53,6 @@
 namespace iq {
 
 class Counter;
-
-/// Monotonic clock for trace timestamps. Lives in src/obs/ (with
-/// util/timer.h, the only sanctioned direct steady_clock user — see
-/// tools/lint.sh).
-uint64_t TraceNowNanos();
-
-/// One completed span. `name` must have static storage duration (the macros
-/// pass string literals); the collector stores the pointer, not a copy.
-/// trace/span/parent ids are 0 for flat spans recorded outside any root.
-struct TraceEvent {
-  /// "unset" sentinel for the fixed arg payload (args are small facts like
-  /// a candidate index or an epoch id, rendered only when set).
-  static constexpr int64_t kNoArg = INT64_MIN;
-
-  const char* name = nullptr;
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;
-  uint64_t start_ns = 0;
-  uint64_t dur_ns = 0;
-  /// Collector-assigned id of the recording thread (stamped by Record).
-  int tid = 0;
-  int64_t arg0 = kNoArg;
-  int64_t arg1 = kNoArg;
-};
 
 /// Tail-based retention policy (DESIGN.md §14). All three knobs combine
 /// with OR: a finished root trace is retained if it erred, OR ran at least
@@ -114,19 +93,16 @@ class TraceCollector {
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Allocates a process-unique nonzero span/trace id.
-  uint64_t NewId() {
-    return next_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Appends a completed span to the calling thread's ring buffer, stamping
   /// the thread's collector tid. Overwrites the oldest span when the ring
   /// is full (mirrored to iq.trace.dropped).
   void Record(TraceEvent e);
 
-  /// All buffered events (every thread), in Chrome trace-event JSON with
-  /// per-thread tids and thread-name metadata events (the flat PR 2 export,
-  /// kept for whole-process captures like examples/trace_demo.cpp).
+  /// Every buffered event across all threads, sorted by start time.
+  std::vector<TraceEvent> BufferedEvents() const;
+
+  /// BufferedEvents() as Perfetto/Chrome JSON (the flat PR 2 export, kept
+  /// for whole-process captures like examples/trace_demo.cpp).
   std::string ToJson() const;
   /// ToJson() written to `path`.
   Status WriteJson(const std::string& path) const;
@@ -169,14 +145,12 @@ class TraceCollector {
 
   /// The /tracez payload: retention config, drop/retain counters, and every
   /// retained trace with its spans. Line-oriented JSON (one "trace_summary"
-  /// or "span" object per line) so tools/iq_trace re-ingests it with a
-  /// tolerant line scanner — same idiom as obs/profile.h reports.
+  /// or "span" object per line) so `iq_obs trace` re-ingests it with the
+  /// util/json.h line scanner — same idiom as obs/profile.h reports.
   std::string TracezJson() const;
 
-  /// Single-trace Perfetto/Chrome JSON for a retained trace: "X" spans with
-  /// real per-thread tids, thread-name metadata events, and flow arrows
-  /// binding cross-thread child spans to their parents. Empty string when
-  /// `trace_id` is not in the store.
+  /// Single-trace Perfetto/Chrome JSON for a retained trace (same renderer
+  /// as ToJson). Empty string when `trace_id` is not in the store.
   std::string TraceJson(uint64_t trace_id) const;
 
  private:
@@ -206,7 +180,6 @@ class TraceCollector {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_ IQ_GUARDED_BY(mu_);
   int next_tid_ IQ_GUARDED_BY(mu_) = 1;
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_id_{1};
 
   // Tail-capture state. Config knobs are relaxed atomics so the per-root
   // discard decision takes no lock.
@@ -247,13 +220,13 @@ class TraceScope {
     const TraceContext ctx = CurrentTraceContext();
     trace_id_ = ctx.trace_id;
     parent_span_id_ = ctx.span_id;
-    span_id_ = tc.NewId();
+    span_id_ = NewSpanId();
     SetTraceContext(TraceContext{trace_id_, span_id_});
-    start_ns_ = TraceNowNanos();
+    start_ns_ = MonotonicNanos();
   }
   ~TraceScope() {
     if (name_ == nullptr) return;
-    const uint64_t end_ns = TraceNowNanos();
+    const uint64_t end_ns = MonotonicNanos();
     SetTraceContext(TraceContext{trace_id_, parent_span_id_});
     TraceEvent e;
     e.name = name_;
@@ -301,21 +274,21 @@ class TraceRoot {
     if (prev_.active()) {
       trace_id_ = prev_.trace_id;
       parent_span_id_ = prev_.span_id;
-      span_id_ = tc.NewId();
+      span_id_ = NewSpanId();
       owns_trace_ = false;
     } else {
       // The root span's id doubles as the trace id.
-      trace_id_ = tc.NewId();
+      trace_id_ = NewSpanId();
       span_id_ = trace_id_;
       parent_span_id_ = 0;
       owns_trace_ = true;
     }
     SetTraceContext(TraceContext{trace_id_, span_id_});
-    start_ns_ = TraceNowNanos();
+    start_ns_ = MonotonicNanos();
   }
   ~TraceRoot() {
     if (op_ == nullptr) return;
-    const uint64_t end_ns = TraceNowNanos();
+    const uint64_t end_ns = MonotonicNanos();
     SetTraceContext(prev_);
     TraceEvent e;
     e.name = op_;

@@ -4,110 +4,125 @@
 #include <map>
 #include <utility>
 
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace iq {
-namespace {
-
-/// Extracts the raw token after `"key":` on `line`; false when absent.
-/// Same tolerant scanner as the iq_prof ingestion path — it must survive
-/// hand-edited or truncated dumps.
-bool FindRawValue(const std::string& line, const char* key,
-                  std::string* out) {
-  std::string needle = StrFormat("\"%s\":", key);
-  size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  size_t v = pos + needle.size();
-  while (v < line.size() && line[v] == ' ') ++v;
-  if (v >= line.size()) return false;
-  if (line[v] == '"') {
-    size_t e = line.find('"', v + 1);
-    if (e == std::string::npos) return false;
-    *out = line.substr(v + 1, e - v - 1);
-    return true;
-  }
-  size_t e = line.find_first_of(",}]", v);
-  if (e == std::string::npos) e = line.size();
-  *out = std::string(StrTrim(line.substr(v, e - v)));
-  return !out->empty();
-}
-
-uint64_t FindU64(const std::string& line, const char* key) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return 0;
-  auto v = ParseInt(raw);
-  return v.ok() && *v >= 0 ? static_cast<uint64_t>(*v) : 0;
-}
-
-int64_t FindI64(const std::string& line, const char* key, int64_t dflt) {
-  std::string raw;
-  if (!FindRawValue(line, key, &raw)) return dflt;
-  auto v = ParseInt(raw);
-  return v.ok() ? *v : dflt;
-}
-
-std::string FormatNanos(uint64_t ns) {
-  if (ns >= 1000000000ULL) {
-    return StrFormat("%.2f s", static_cast<double>(ns) / 1e9);
-  }
-  if (ns >= 1000000ULL) {
-    return StrFormat("%.2f ms", static_cast<double>(ns) / 1e6);
-  }
-  if (ns >= 1000ULL) {
-    return StrFormat("%.2f us", static_cast<double>(ns) / 1e3);
-  }
-  return StrFormat("%llu ns", static_cast<unsigned long long>(ns));
-}
-
-}  // namespace
 
 TraceDump ParseTracezDump(const std::string& text) {
   TraceDump dump;
   ParsedTrace* cur = nullptr;
   std::string raw;
-  for (std::string_view line_view : StrSplit(text, '\n')) {
-    const std::string line(line_view);
+  for (const std::string& line : StrSplit(text, '\n')) {
     if (line.find("\"config\":") != std::string::npos) {
-      dump.config.slow_trace_nanos = FindI64(line, "slow_trace_nanos", 0);
+      dump.config.slow_trace_nanos = JsonFindInt(line, "slow_trace_nanos");
       dump.config.keep_first_n =
-          static_cast<int>(FindI64(line, "keep_first_n", 0));
-      dump.config.max_retained = FindU64(line, "max_retained");
+          static_cast<int>(JsonFindInt(line, "keep_first_n"));
+      dump.config.max_retained = JsonFindU64(line, "max_retained");
       continue;
     }
     if (line.find("\"counters\":") != std::string::npos) {
-      dump.dropped = FindU64(line, "dropped");
-      dump.slow_retained = FindU64(line, "slow_retained");
-      dump.discarded = FindU64(line, "discarded");
+      dump.dropped = JsonFindU64(line, "dropped");
+      dump.slow_retained = JsonFindU64(line, "slow_retained");
+      dump.discarded = JsonFindU64(line, "discarded");
       continue;
     }
     if (line.find("\"trace_summary\":") != std::string::npos) {
       dump.traces.emplace_back();
       cur = &dump.traces.back();
-      cur->trace_id = FindU64(line, "trace_id");
-      if (FindRawValue(line, "op", &raw)) cur->op = raw;
-      cur->start_ns = FindU64(line, "start_ns");
-      cur->dur_ns = FindU64(line, "dur_ns");
-      if (FindRawValue(line, "erred", &raw)) cur->erred = raw == "true";
-      if (FindRawValue(line, "warmup", &raw)) cur->warmup = raw == "true";
-      cur->num_threads = static_cast<int>(FindU64(line, "num_threads"));
+      cur->trace_id = JsonFindU64(line, "trace_id");
+      if (JsonFindValue(line, "op", &raw)) cur->op = raw;
+      cur->start_ns = JsonFindU64(line, "start_ns");
+      cur->dur_ns = JsonFindU64(line, "dur_ns");
+      if (JsonFindValue(line, "erred", &raw)) cur->erred = raw == "true";
+      if (JsonFindValue(line, "warmup", &raw)) cur->warmup = raw == "true";
+      cur->num_threads = static_cast<int>(JsonFindU64(line, "num_threads"));
       continue;
     }
     if (cur != nullptr && line.find("\"span\":") != std::string::npos) {
       ParsedSpan s;
-      s.trace_id = FindU64(line, "trace_id");
-      s.span_id = FindU64(line, "span_id");
-      s.parent_span_id = FindU64(line, "parent_span_id");
-      if (FindRawValue(line, "name", &raw)) s.name = raw;
-      s.tid = static_cast<int>(FindU64(line, "tid"));
-      s.start_ns = FindU64(line, "start_ns");
-      s.dur_ns = FindU64(line, "dur_ns");
-      s.arg0 = FindI64(line, "arg0", TraceEvent::kNoArg);
-      s.arg1 = FindI64(line, "arg1", TraceEvent::kNoArg);
+      s.trace_id = JsonFindU64(line, "trace_id");
+      s.span_id = JsonFindU64(line, "span_id");
+      s.parent_span_id = JsonFindU64(line, "parent_span_id");
+      if (JsonFindValue(line, "name", &raw)) s.name = raw;
+      s.tid = static_cast<int>(JsonFindU64(line, "tid"));
+      s.start_ns = JsonFindU64(line, "start_ns");
+      s.dur_ns = JsonFindU64(line, "dur_ns");
+      s.arg0 = JsonFindInt(line, "arg0", TraceEvent::kNoArg);
+      s.arg1 = JsonFindInt(line, "arg1", TraceEvent::kNoArg);
       cur->spans.push_back(std::move(s));
     }
   }
   return dump;
 }
+
+namespace {
+
+using ChildMap = std::map<uint64_t, std::vector<const ParsedSpan*>>;
+
+uint64_t EndNs(const ParsedSpan& s) { return s.start_ns + s.dur_ns; }
+
+/// Appends the critical path through `span` to `path` in start order: the
+/// span itself, then the path through each child it waited on. Those
+/// children are found walking backward from the span's end: the
+/// last-ending child, then the latest child that ends before that one
+/// starts, and so on. The gaps between them are the span's self time;
+/// children that overlap a chosen one ran in parallel and are off the path.
+void WalkCriticalPath(const ParsedSpan& span, int depth,
+                      const ChildMap& children,
+                      std::vector<CriticalPathStep>* path) {
+  const size_t at = path->size();
+  path->push_back(
+      CriticalPathStep{span.name, span.span_id, span.tid, depth, span.dur_ns,
+                       0});
+  std::vector<const ParsedSpan*> waited;  // latest first
+  uint64_t cursor = EndNs(span);
+  uint64_t self = 0;
+  auto it = children.find(span.span_id);
+  if (it != children.end()) {
+    std::vector<const ParsedSpan*> kids = it->second;
+    std::sort(kids.begin(), kids.end(),
+              [](const ParsedSpan* x, const ParsedSpan* y) {
+                return EndNs(*x) < EndNs(*y);
+              });
+    for (size_t i = kids.size(); i-- > 0;) {
+      const ParsedSpan* kid = kids[i];
+      // The first pick is the last-ending child even when clock skew lets
+      // it overrun its parent by a few ns.
+      if (!waited.empty() && EndNs(*kid) > cursor) continue;
+      self += cursor > EndNs(*kid) ? cursor - EndNs(*kid) : 0;
+      cursor = std::min(cursor, kid->start_ns);
+      waited.push_back(kid);
+    }
+  }
+  self += cursor > span.start_ns ? cursor - span.start_ns : 0;
+  (*path)[at].self_ns = self;
+  for (auto kid = waited.rbegin(); kid != waited.rend(); ++kid) {
+    WalkCriticalPath(**kid, depth + 1, children, path);
+  }
+}
+
+/// Sums self time per span name, largest first.
+std::vector<SelfTimeRollup> RollUpByName(
+    const std::vector<CriticalPathStep>& steps) {
+  std::map<std::string, SelfTimeRollup> by_name;
+  for (const CriticalPathStep& step : steps) {
+    SelfTimeRollup& r = by_name[step.name];
+    r.name = step.name;
+    r.self_ns += step.self_ns;
+    ++r.spans;
+  }
+  std::vector<SelfTimeRollup> out;
+  for (auto& [name, r] : by_name) out.push_back(std::move(r));
+  std::sort(out.begin(), out.end(),
+            [](const SelfTimeRollup& x, const SelfTimeRollup& y) {
+              return x.self_ns != y.self_ns ? x.self_ns > y.self_ns
+                                            : x.name < y.name;
+            });
+  return out;
+}
+
+}  // namespace
 
 TraceAnalysis AnalyzeTrace(const ParsedTrace& trace) {
   TraceAnalysis a;
@@ -118,66 +133,35 @@ TraceAnalysis AnalyzeTrace(const ParsedTrace& trace) {
   a.num_threads = trace.num_threads;
   a.num_spans = trace.spans.size();
 
-  std::map<uint64_t, const ParsedSpan*> by_id;
-  std::map<uint64_t, std::vector<const ParsedSpan*>> children;
+  ChildMap children;
   const ParsedSpan* root = nullptr;
   for (const ParsedSpan& s : trace.spans) {
-    by_id[s.span_id] = &s;
     children[s.parent_span_id].push_back(&s);
     if (s.parent_span_id == 0 && root == nullptr) root = &s;
   }
 
-  // Per-name self time: duration minus the direct children's durations
-  // (clamped — timestamps come from different threads' interleaved reads of
-  // one steady clock, so a child can overrun its parent by a few ns).
-  std::map<std::string, SelfTimeRollup> rollup;
+  // Whole-trace self time per span: duration minus the direct children's
+  // durations (clamped — parallel children can sum past their parent, and
+  // timestamps come from different threads' interleaved reads of one
+  // steady clock).
+  std::vector<CriticalPathStep> all;
   for (const ParsedSpan& s : trace.spans) {
     uint64_t child_ns = 0;
     auto it = children.find(s.span_id);
     if (it != children.end()) {
       for (const ParsedSpan* c : it->second) child_ns += c->dur_ns;
     }
-    SelfTimeRollup& r = rollup[s.name];
-    r.name = s.name;
-    r.self_ns += s.dur_ns > child_ns ? s.dur_ns - child_ns : 0;
-    ++r.spans;
+    all.push_back(CriticalPathStep{s.name, s.span_id, s.tid, 0, s.dur_ns,
+                                   s.dur_ns > child_ns ? s.dur_ns - child_ns
+                                                       : 0});
   }
-  for (auto& [name, r] : rollup) a.self_time.push_back(std::move(r));
-  std::sort(a.self_time.begin(), a.self_time.end(),
-            [](const SelfTimeRollup& x, const SelfTimeRollup& y) {
-              return x.self_ns != y.self_ns ? x.self_ns > y.self_ns
-                                            : x.name < y.name;
-            });
+  a.self_time = RollUpByName(all);
 
   if (root == nullptr) return a;  // orphaned trace: rings lost the root
-
-  // Critical path: from the root, descend into the child whose interval
-  // ends last — the child the parent actually waited for. Self time per
-  // step is the parent's duration minus that child's; the telescoping sum
-  // plus the leaf's full duration reconstructs the root's wall clock.
-  const ParsedSpan* cur = root;
-  while (cur != nullptr) {
-    const ParsedSpan* next = nullptr;
-    auto it = children.find(cur->span_id);
-    if (it != children.end()) {
-      for (const ParsedSpan* c : it->second) {
-        if (next == nullptr ||
-            c->start_ns + c->dur_ns > next->start_ns + next->dur_ns) {
-          next = c;
-        }
-      }
-    }
-    CriticalPathStep step;
-    step.name = cur->name;
-    step.span_id = cur->span_id;
-    step.tid = cur->tid;
-    step.dur_ns = cur->dur_ns;
-    const uint64_t child_dur = next != nullptr ? next->dur_ns : 0;
-    step.self_ns = cur->dur_ns > child_dur ? cur->dur_ns - child_dur : 0;
-    a.accounted_ns += step.self_ns;
-    a.critical_path.push_back(std::move(step));
-    cur = next;
-  }
+  WalkCriticalPath(*root, 0, children, &a.critical_path);
+  a.critical_self_time = RollUpByName(a.critical_path);
+  const uint64_t root_self = a.critical_path.front().self_ns;
+  a.accounted_ns = root->dur_ns > root_self ? root->dur_ns - root_self : 0;
   a.accounted_fraction =
       a.dur_ns > 0
           ? static_cast<double>(a.accounted_ns) / static_cast<double>(a.dur_ns)
@@ -193,12 +177,9 @@ std::string TraceVerdict(const TraceAnalysis& a) {
         "lower span volume",
         static_cast<unsigned long long>(a.trace_id));
   }
-  const CriticalPathStep* hot = &a.critical_path.front();
-  for (const CriticalPathStep& s : a.critical_path) {
-    if (s.self_ns > hot->self_ns) hot = &s;
-  }
+  const SelfTimeRollup& hot = a.critical_self_time.front();
   const double share =
-      a.dur_ns > 0 ? 100.0 * static_cast<double>(hot->self_ns) /
+      a.dur_ns > 0 ? 100.0 * static_cast<double>(hot.self_ns) /
                          static_cast<double>(a.dur_ns)
                    : 0.0;
   if (a.erred) {
@@ -206,19 +187,19 @@ std::string TraceVerdict(const TraceAnalysis& a) {
         "trace %llu was retained for an error; before failing it spent "
         "%.1f%% of %s in %s",
         static_cast<unsigned long long>(a.trace_id), share,
-        FormatNanos(a.dur_ns).c_str(), hot->name.c_str());
+        FormatNanos(a.dur_ns).c_str(), hot.name.c_str());
   }
   return StrFormat(
       "trace %llu (%s, %s over %d thread%s): %.1f%% of the wall clock is "
       "self time in %s on the critical path",
       static_cast<unsigned long long>(a.trace_id), a.op.c_str(),
       FormatNanos(a.dur_ns).c_str(), a.num_threads,
-      a.num_threads == 1 ? "" : "s", share, hot->name.c_str());
+      a.num_threads == 1 ? "" : "s", share, hot.name.c_str());
 }
 
 std::string FormatTraceReport(const TraceDump& dump, int top_n) {
   std::string out = StrFormat(
-      "iq_trace: %zu retained trace(s); slow_trace_nanos=%lld "
+      "iq_obs trace: %zu retained trace(s); slow_trace_nanos=%lld "
       "keep_first_n=%d max_retained=%zu\n"
       "counters: dropped=%llu slow_retained=%llu discarded=%llu\n",
       dump.traces.size(),
@@ -227,6 +208,18 @@ std::string FormatTraceReport(const TraceDump& dump, int top_n) {
       static_cast<unsigned long long>(dump.dropped),
       static_cast<unsigned long long>(dump.slow_retained),
       static_cast<unsigned long long>(dump.discarded));
+  auto rows = [top_n](const std::vector<SelfTimeRollup>& rollup) {
+    std::string text;
+    int shown = 0;
+    for (const SelfTimeRollup& r : rollup) {
+      if (shown++ >= top_n) break;
+      text += StrFormat("    %-40s %-10s (%llu span%s)\n", r.name.c_str(),
+                        FormatNanos(r.self_ns).c_str(),
+                        static_cast<unsigned long long>(r.spans),
+                        r.spans == 1 ? "" : "s");
+    }
+    return text;
+  };
   for (const ParsedTrace& t : dump.traces) {
     const TraceAnalysis a = AnalyzeTrace(t);
     out += StrFormat(
@@ -234,21 +227,13 @@ std::string FormatTraceReport(const TraceDump& dump, int top_n) {
         static_cast<unsigned long long>(a.trace_id), a.op.c_str(),
         FormatNanos(a.dur_ns).c_str(), a.num_spans, a.num_threads,
         a.erred ? "  [erred]" : "", t.warmup ? "  [warmup]" : "");
-    out += StrFormat("  critical path (%.1f%% of wall accounted):\n",
-                     100.0 * a.accounted_fraction);
-    for (const CriticalPathStep& s : a.critical_path) {
-      out += StrFormat("    %-40s self %-10s tid %d\n", s.name.c_str(),
-                       FormatNanos(s.self_ns).c_str(), s.tid);
-    }
-    out += "  top self-time by span name:\n";
-    int shown = 0;
-    for (const SelfTimeRollup& r : a.self_time) {
-      if (shown++ >= top_n) break;
-      out += StrFormat("    %-40s %-10s (%llu span%s)\n", r.name.c_str(),
-                       FormatNanos(r.self_ns).c_str(),
-                       static_cast<unsigned long long>(r.spans),
-                       r.spans == 1 ? "" : "s");
-    }
+    out += StrFormat(
+        "  critical path: %zu spans, %.1f%% of wall accounted below the "
+        "root; self time by span name:\n",
+        a.critical_path.size(), 100.0 * a.accounted_fraction);
+    out += rows(a.critical_self_time);
+    out += "  top self-time by span name (whole trace):\n";
+    out += rows(a.self_time);
     out += StrFormat("  verdict: %s\n", TraceVerdict(a).c_str());
   }
   if (dump.traces.empty()) {
@@ -268,12 +253,10 @@ std::string TraceReportJson(const TraceDump& dump) {
       static_cast<unsigned long long>(dump.dropped),
       static_cast<unsigned long long>(dump.slow_retained),
       static_cast<unsigned long long>(dump.discarded));
-  std::string verdict = dump.traces.empty()
-                            ? "no retained traces"
-                            : TraceVerdict(AnalyzeTrace(dump.traces.back()));
-  // JsonEscape is overkill here: verdicts are built from span names, which
-  // are static identifiers without quotes or backslashes.
-  out += StrFormat("\"verdict\": \"%s\",\n", verdict.c_str());
+  const std::string verdict =
+      dump.traces.empty() ? "no retained traces"
+                          : TraceVerdict(AnalyzeTrace(dump.traces.back()));
+  out += StrFormat("\"verdict\": \"%s\",\n", JsonEscape(verdict).c_str());
   out += "\"traces\": [";
   bool first_trace = true;
   for (const ParsedTrace& t : dump.traces) {
@@ -284,7 +267,7 @@ std::string TraceReportJson(const TraceDump& dump) {
         "\"num_threads\": %d, \"accounted_ns\": %llu, "
         "\"accounted_fraction\": %.4f}}",
         first_trace ? "" : ",", static_cast<unsigned long long>(a.trace_id),
-        a.op.c_str(), static_cast<unsigned long long>(a.dur_ns),
+        JsonEscape(a.op).c_str(), static_cast<unsigned long long>(a.dur_ns),
         a.erred ? "true" : "false", a.num_spans, a.num_threads,
         static_cast<unsigned long long>(a.accounted_ns),
         a.accounted_fraction);
@@ -292,10 +275,11 @@ std::string TraceReportJson(const TraceDump& dump) {
     for (const CriticalPathStep& s : a.critical_path) {
       out += StrFormat(
           ",\n{\"path_step\": {\"trace_id\": %llu, \"name\": \"%s\", "
-          "\"span_id\": %llu, \"tid\": %d, \"dur_ns\": %llu, "
+          "\"span_id\": %llu, \"tid\": %d, \"depth\": %d, \"dur_ns\": %llu, "
           "\"self_ns\": %llu}}",
-          static_cast<unsigned long long>(a.trace_id), s.name.c_str(),
-          static_cast<unsigned long long>(s.span_id), s.tid,
+          static_cast<unsigned long long>(a.trace_id),
+          JsonEscape(s.name).c_str(),
+          static_cast<unsigned long long>(s.span_id), s.tid, s.depth,
           static_cast<unsigned long long>(s.dur_ns),
           static_cast<unsigned long long>(s.self_ns));
     }
@@ -303,7 +287,8 @@ std::string TraceReportJson(const TraceDump& dump) {
       out += StrFormat(
           ",\n{\"self_time\": {\"trace_id\": %llu, \"name\": \"%s\", "
           "\"self_ns\": %llu, \"spans\": %llu}}",
-          static_cast<unsigned long long>(a.trace_id), r.name.c_str(),
+          static_cast<unsigned long long>(a.trace_id),
+          JsonEscape(r.name).c_str(),
           static_cast<unsigned long long>(r.self_ns),
           static_cast<unsigned long long>(r.spans));
     }

@@ -7,14 +7,15 @@
 
 #include "obs/trace.h"
 
-// Slow-trace ingestion + analysis (DESIGN.md §14) — the tools/iq_trace core,
-// testable in-process like the obs/profile.h half of iq_prof. Consumes a
-// /tracez payload (scraped live or dumped by micro_parallel
+// Slow-trace ingestion + analysis (DESIGN.md §14) — the `iq_obs trace`
+// core, testable in-process like the obs/profile.h core of `iq_obs prof`.
+// Consumes a /tracez payload (scraped live or dumped by micro_parallel
 // --scrape-tracez=) and answers the question tail capture exists to answer:
 // *where did this slow solve spend its wall-clock?* For each retained trace
-// it reconstructs the span tree, walks the critical path (at every span,
-// descend into the child whose interval ends last), attributes self time
-// along it, and rolls up per-name self time across the whole trace.
+// it reconstructs the span tree, walks the critical path backward from each
+// span's end (the last-ending child, then the latest child ending before
+// that one starts, ...; gaps are the parent's self time), and rolls up
+// per-name self time along that path and across the whole trace.
 
 namespace iq {
 
@@ -54,19 +55,20 @@ struct TraceDump {
 };
 
 /// Parses a /tracez payload (or anything containing its "trace_summary" /
-/// "span" lines). Tolerant line scanner in the obs/profile.h idiom: unknown
-/// lines are skipped, a "trace_summary" line starts a new trace, "span"
-/// lines attach to the most recent one — no JSON library in the tree.
+/// "span" lines) with the util/json.h line scanner: unknown lines are
+/// skipped, a "trace_summary" line starts a new trace, "span" lines attach
+/// to the most recent one.
 TraceDump ParseTracezDump(const std::string& text);
 
-/// One hop of a trace's critical path.
+/// One span on a trace's critical path.
 struct CriticalPathStep {
   std::string name;
   uint64_t span_id = 0;
   int tid = 0;
+  int depth = 0;  // 0 = the root span
   uint64_t dur_ns = 0;
-  /// This span's duration minus the chosen child's — wall-clock the path
-  /// spent *here* rather than deeper in the tree.
+  /// The part of this span's duration not covered by the children it
+  /// waited on — wall clock the path spent *here* rather than deeper.
   uint64_t self_ns = 0;
 };
 
@@ -78,7 +80,7 @@ struct SelfTimeRollup {
   uint64_t spans = 0;
 };
 
-/// Everything iq_trace reports about one retained trace.
+/// Everything `iq_obs trace` reports about one retained trace.
 struct TraceAnalysis {
   uint64_t trace_id = 0;
   std::string op;
@@ -86,16 +88,21 @@ struct TraceAnalysis {
   bool erred = false;
   int num_threads = 0;
   size_t num_spans = 0;
-  /// Root-to-leaf walk descending into the latest-ending child at each
-  /// level. Because child intervals nest inside their parents, the steps'
-  /// self times telescope back to the root duration.
+  /// The spans the root waited on, in start order (a pre-order walk; see
+  /// the file comment). Child intervals nest inside their parents, so the
+  /// steps' self times add up to the root duration.
   std::vector<CriticalPathStep> critical_path;
-  /// Sum of self times along the path, and its share of the root duration.
-  /// A healthy causal trace accounts for ~100% of the wall clock; a low
-  /// fraction means orphaned spans (ring overwrites ate the parents).
+  /// Critical-path time spent below the root span (root duration minus the
+  /// root's own self time), and its share of the root duration. A
+  /// well-instrumented trace explains ~100% of its wall clock; a low
+  /// fraction means the root did work no child span covers, or orphaned
+  /// spans (ring overwrites ate the parents).
   uint64_t accounted_ns = 0;
   double accounted_fraction = 0.0;
-  std::vector<SelfTimeRollup> self_time;  // sorted by self_ns desc
+  /// Self time per span name along critical_path, then over every span of
+  /// the trace; both sorted by self_ns desc.
+  std::vector<SelfTimeRollup> critical_self_time;
+  std::vector<SelfTimeRollup> self_time;
 };
 
 /// Reconstructs the span tree and computes the critical path + rollups.
@@ -104,18 +111,18 @@ struct TraceAnalysis {
 TraceAnalysis AnalyzeTrace(const ParsedTrace& trace);
 
 /// One sentence naming where the slow solve's wall-clock went — the span
-/// name with the largest self time on the critical path — or what kept the
-/// trace (error, warmup) when timing says nothing interesting.
+/// name with the largest self time on the critical path — and whether an
+/// error kept the trace.
 std::string TraceVerdict(const TraceAnalysis& analysis);
 
 /// Human-readable report over a whole dump: retention config and loss
-/// counters, then per trace the critical path (top `top_n` steps by self
-/// time kept, in path order), the self-time ranking, and a verdict.
+/// counters, then per trace the top `top_n` span names by self time on the
+/// critical path and over the whole trace, and a verdict.
 std::string FormatTraceReport(const TraceDump& dump, int top_n);
 
 /// Machine form of the same: {"iq_trace": {"num_traces": N, ...}} with one
-/// "trace_analysis" / "path_step" / "self_time" object per line — consumed
-/// by tools/check_metrics.sh --trace and the trace-smoke CI lane.
+/// "trace_analysis" / "path_step" / "self_time" object per line — written
+/// by `iq_obs trace --json=` in the obs-smoke CI lane.
 std::string TraceReportJson(const TraceDump& dump);
 
 }  // namespace iq

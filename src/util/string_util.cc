@@ -92,4 +92,17 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string FormatNanos(uint64_t ns) {
+  if (ns >= 1000000000ULL) {
+    return StrFormat("%.2f s", static_cast<double>(ns) / 1e9);
+  }
+  if (ns >= 1000000ULL) {
+    return StrFormat("%.2f ms", static_cast<double>(ns) / 1e6);
+  }
+  if (ns >= 1000ULL) {
+    return StrFormat("%.2f us", static_cast<double>(ns) / 1e3);
+  }
+  return StrFormat("%llu ns", static_cast<unsigned long long>(ns));
+}
+
 }  // namespace iq

@@ -1,6 +1,7 @@
 #ifndef IQ_UTIL_STRING_UTIL_H_
 #define IQ_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,9 @@ bool StrEndsWith(std::string_view s, std::string_view suffix);
 /// Strict full-string numeric parses.
 Result<double> ParseDouble(std::string_view s);
 Result<int64_t> ParseInt(std::string_view s);
+
+/// A nanosecond duration with a readable unit ("812 ns", "3.20 ms").
+std::string FormatNanos(uint64_t ns);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <utility>
 
 #include "util/check.h"
@@ -16,11 +17,73 @@ namespace {
 /// inline instead of deadlocking on their own queue.
 thread_local bool t_in_pool_worker = false;
 
-std::atomic<ThreadPool::TaskObserver> g_task_observer{nullptr};
+std::atomic<const ThreadPool::TaskObserver*> g_task_observer{nullptr};
+
+/// Whether a ParallelFor call records spans: profiling is on, or the
+/// dispatching thread is inside a trace. Decided once per call, so a call
+/// span and its chunk spans are recorded all or none.
+bool CaptureSpans(const TraceContext& dispatch_ctx) {
+  return prof::Enabled() || dispatch_ctx.active();
+}
+
+/// One open pool span: opened under the calling thread's current context
+/// and installed as that context while open (so spans opened inside a chunk
+/// body parent under it), then restored and handed to the observer when it
+/// closes — also when the body throws.
+class PoolSpan {
+ public:
+  PoolSpan(const char* site, SpanKind kind, int64_t items,
+           int64_t steals = TraceEvent::kNoArg)
+      : prev_(CurrentTraceContext()) {
+    event_.name = site != nullptr ? site : "(unlabeled)";
+    event_.kind = kind;
+    event_.trace_id = prev_.trace_id;
+    event_.parent_span_id = prev_.span_id;
+    event_.span_id = NewSpanId();
+    event_.arg0 = items;
+    event_.arg1 = steals;
+    SetTraceContext(TraceContext{prev_.trace_id, event_.span_id});
+    event_.start_ns = MonotonicNanos();
+  }
+  ~PoolSpan() {
+    event_.dur_ns = MonotonicNanos() - event_.start_ns;
+    SetTraceContext(prev_);
+    const ThreadPool::TaskObserver* observer =
+        g_task_observer.load(std::memory_order_acquire);
+    if (observer != nullptr) observer->on_span(event_);
+  }
+
+  PoolSpan(const PoolSpan&) = delete;
+  PoolSpan& operator=(const PoolSpan&) = delete;
+
+  /// Folds one dynamically claimed item into the span.
+  void AddClaim(bool stolen) {
+    ++event_.arg0;
+    event_.arg1 += stolen ? 1 : 0;
+  }
+  uint64_t ElapsedNanos() const { return MonotonicNanos() - event_.start_ns; }
+
+ private:
+  const TraceContext prev_;
+  TraceEvent event_;
+};
+
+/// Runs body(0, n) as the single chunk of one call on the calling thread:
+/// the nested-inline, n == 1 and serial-fallback paths.
+void RunInline(const std::function<void(int64_t, int64_t)>& body, int64_t n,
+               const char* site) {
+  if (!CaptureSpans(CurrentTraceContext())) {
+    body(0, n);
+    return;
+  }
+  PoolSpan call(site, SpanKind::kParallelFor, n);
+  PoolSpan chunk(site, SpanKind::kChunk, n);
+  body(0, n);
+}
 
 }  // namespace
 
-void ThreadPool::SetTaskObserver(TaskObserver observer) {
+void ThreadPool::SetTaskObserver(const TaskObserver* observer) {
   g_task_observer.store(observer, std::memory_order_release);
 }
 
@@ -45,45 +108,20 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
-  prof::internal::AssignPoolWorkerId();
   for (;;) {
     std::function<void()> task;
     {
       MutexLock lock(&mu_);
-      if (!stopping_ && queue_.empty()) {
-        if (prof::Enabled()) {
-          prof::internal::RecordWorkerState(prof::WorkerState::kIdle);
-        }
-        while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
-      }
+      while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-    }
-    if (prof::Enabled()) {
-      prof::internal::RecordWorkerState(prof::WorkerState::kRunning);
     }
     task();
   }
 }
 
 namespace {
-
-/// Runs one chunk, recording a span when profiling is on. Factored out so
-/// the pool dispatch path and the serial fallback attribute work to `site`
-/// identically.
-inline void RunChunkMaybeProfiled(
-    const std::function<void(int64_t, int64_t)>& body, int64_t begin,
-    int64_t end, const char* site, uint64_t call_id) {
-  if (!prof::Enabled()) {
-    body(begin, end);
-    return;
-  }
-  const uint64_t t0 = prof::NowNanos();
-  body(begin, end);
-  prof::internal::RecordChunkSpan(site, call_id, end - begin, t0,
-                                  prof::NowNanos());
-}
 
 /// Shared per-call coordination state for ParallelFor (both policies).
 struct CallState {
@@ -115,44 +153,19 @@ constexpr uint64_t kDynamicSpanTargetNanos = 200 * 1000;  // 200 µs
 /// participant pulls single indices off `state->next`; once a participant
 /// has executed its fair share of the range, ceil(n / participants),
 /// further claims are counted as steals — items a statically partitioned
-/// run would have left to a (still busy) peer.
-void RunDynamicClaims(CallState* state,
-                      const std::function<void(int64_t, int64_t)>& body,
-                      int64_t n, int64_t fair_share, const char* site,
-                      uint64_t call_id) {
-  const bool profiled = prof::Enabled();
+/// run would have left to a (still busy) peer. Returns the items executed.
+int64_t RunDynamicClaims(CallState* state,
+                         const std::function<void(int64_t, int64_t)>& body,
+                         int64_t n, int64_t fair_share, const char* site,
+                         bool capture) {
   int64_t executed = 0;
-  // Current aggregation span (profiled mode only).
-  uint64_t span_start = 0;
-  uint64_t span_end = 0;
-  int64_t span_items = 0;
-  uint32_t span_claims = 0;
-  uint32_t span_steals = 0;
-  auto flush_span = [&] {
-    if (span_items == 0) return;
-    prof::internal::RecordChunkSpan(site, call_id, span_items, span_start,
-                                    span_end, span_claims, span_steals);
-    span_items = 0;
-    span_claims = 0;
-    span_steals = 0;
-  };
+  std::optional<PoolSpan> span;  // the current run of claims (capture only)
   for (;;) {
     const int64_t i = state->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     if (state->failed.load(std::memory_order_acquire)) break;
     const bool stolen = executed >= fair_share;
-    if (!profiled) {
-      try {
-        body(i, i + 1);
-      } catch (...) {
-        CaptureError(state);
-        break;
-      }
-      ++executed;
-      continue;
-    }
-    const uint64_t t0 = prof::NowNanos();
-    if (span_items == 0) span_start = t0;
+    if (capture && !span) span.emplace(site, SpanKind::kChunk, 0, 0);
     bool ok = true;
     try {
       body(i, i + 1);
@@ -160,15 +173,14 @@ void RunDynamicClaims(CallState* state,
       CaptureError(state);
       ok = false;
     }
-    span_end = prof::NowNanos();
     ++executed;
-    ++span_claims;
-    ++span_items;
-    if (stolen) ++span_steals;
+    if (span) {
+      span->AddClaim(stolen);
+      if (!ok || span->ElapsedNanos() >= kDynamicSpanTargetNanos) span.reset();
+    }
     if (!ok) break;
-    if (span_end - span_start >= kDynamicSpanTargetNanos) flush_span();
   }
-  if (profiled) flush_span();
+  return executed;
 }
 
 }  // namespace
@@ -178,12 +190,9 @@ void ThreadPool::ParallelFor(
     const char* site, ChunkPolicy policy) {
   if (n <= 0) return;
   if (t_in_pool_worker || n == 1) {
-    // Nested or trivial: run inline on the current thread. Still one span —
-    // nested parallel regions must stay visible in the profile.
-    RunChunkMaybeProfiled(body, 0, n, site,
-                          prof::Enabled()
-                              ? prof::internal::NextParallelForCallId()
-                              : 0);
+    // Nested or trivial: run inline on the current thread. Still spans —
+    // nested parallel regions must stay visible in profiles and traces.
+    RunInline(body, n, site);
     return;
   }
   const int64_t workers = static_cast<int64_t>(workers_.size());
@@ -198,8 +207,11 @@ void ThreadPool::ParallelFor(
 
   CallState state;
 
-  const uint64_t call_id =
-      prof::Enabled() ? prof::internal::NextParallelForCallId() : 0;
+  // The call span opens before the dispatch context is captured, so chunk
+  // spans on every participant parent under it.
+  const bool capture = CaptureSpans(CurrentTraceContext());
+  std::optional<PoolSpan> call;
+  if (capture) call.emplace(site, SpanKind::kParallelFor, n);
   // Causal-trace propagation (DESIGN.md §14): the helper tasks below run on
   // workers whose thread-local TraceContext is whatever the previous task
   // left behind (zeroed by the save/restore here). Capture the dispatcher's
@@ -209,19 +221,23 @@ void ThreadPool::ParallelFor(
   // the serial fallback and the nested-inline path all run on a thread that
   // already holds the context, so only the enqueued tasks need the handoff.
   const TraceContext dispatch_ctx = CurrentTraceContext();
-  auto run_chunks = [&state, &body, n, chunk, fair_share, site, call_id,
-                     policy] {
+  // Runs chunks until the range drains; returns the items executed.
+  auto run_chunks = [&state, &body, n, chunk, fair_share, site, capture,
+                     policy]() -> int64_t {
     if (policy == ChunkPolicy::kDynamic) {
-      RunDynamicClaims(&state, body, n, fair_share, site, call_id);
-      return;
+      return RunDynamicClaims(&state, body, n, fair_share, site, capture);
     }
+    int64_t executed = 0;
     for (;;) {
       int64_t begin = state.next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) return;
-      if (state.failed.load(std::memory_order_acquire)) return;
+      if (begin >= n) return executed;
+      if (state.failed.load(std::memory_order_acquire)) return executed;
       int64_t end = std::min<int64_t>(n, begin + chunk);
+      executed += end - begin;
       try {
-        RunChunkMaybeProfiled(body, begin, end, site, call_id);
+        std::optional<PoolSpan> span;
+        if (capture) span.emplace(site, SpanKind::kChunk, end - begin);
+        body(begin, end);
       } catch (...) {
         CaptureError(&state);
       }
@@ -241,14 +257,19 @@ void ThreadPool::ParallelFor(
     MutexLock lock(&mu_);
     for (int64_t i = 0; i < helpers; ++i) {
       queue_.emplace_back(
-          [&state, &run_chunks, dispatch_ctx, timer = WallTimer()] {
-            TaskObserver observer =
+          [&state, &run_chunks, dispatch_ctx, capture, site,
+           timer = WallTimer()] {
+            const TaskObserver* observer =
                 g_task_observer.load(std::memory_order_acquire);
-            if (observer != nullptr) observer(timer.ElapsedNanos());
+            if (observer != nullptr) observer->on_task(timer.ElapsedNanos());
             // run_chunks never throws (chunk exceptions are captured into
             // state.error), so the restore cannot be skipped.
             const TraceContext saved = ExchangeTraceContext(dispatch_ctx);
-            run_chunks();
+            if (run_chunks() == 0 && capture) {
+              // The range drained before this worker got to it: an empty
+              // chunk span still records that it took part (and was idle).
+              PoolSpan empty(site, SpanKind::kChunk, 0);
+            }
             SetTraceContext(saved);
             MutexLock done(&state.done_mu);
             if (--state.pending == 0) state.done_cv.NotifyOne();
@@ -277,12 +298,7 @@ void ParallelForOrSerial(ThreadPool* pool, int64_t n,
                          const char* site, ChunkPolicy policy) {
   if (n <= 0) return;
   if (pool == nullptr) {
-    // Serial fallback records one covering span so a serial run's profile
-    // still shows the parallelizable-region coverage (the Amdahl ceiling).
-    RunChunkMaybeProfiled(body, 0, n, site,
-                          prof::Enabled()
-                              ? prof::internal::NextParallelForCallId()
-                              : 0);
+    RunInline(body, n, site);
     return;
   }
   pool->ParallelFor(n, body, site, policy);

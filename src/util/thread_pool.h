@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/annotations.h"
+#include "util/trace_context.h"
 
 namespace iq {
 
@@ -23,7 +24,7 @@ namespace iq {
 ///              counter: every participant pulls one index at a time, so a
 ///              participant stuck on an expensive item simply stops
 ///              claiming and its remaining share is stolen by the others.
-///              Claim/steal counts surface through the chunk-span profile.
+///              Steal counts surface as an arg of the chunk spans.
 ///
 /// Both policies satisfy the same determinism contract (below): bodies
 /// write per-index slots, so results are bit-identical under any claim
@@ -53,9 +54,17 @@ enum class ChunkPolicy { kStatic, kDynamic };
 /// every chunk body it hands to a worker (save/restore per helper task), so
 /// spans opened inside chunks — static, dynamic work-stealing, the serial
 /// fallback and the nested-inline path alike — carry the dispatching
-/// solve's trace id and parent under the dispatching span. Observation
-/// only: no body reads the context, so the determinism contract holds with
-/// tracing on or off.
+/// solve's trace id and parent under the dispatching span.
+///
+/// Pool spans (DESIGN.md §11, §14): while profiling is on (util/prof.h) or
+/// a trace is in flight on the dispatching thread, every call records one
+/// SpanKind::kParallelFor span named by its `site`, parenting one kChunk
+/// span per executed chunk (a static chunk, a run of dynamic claims, or the
+/// single inline chunk of the serial / nested / n == 1 paths), plus an
+/// empty chunk span from each worker that found the range drained. They reach
+/// the trace rings through the TaskObserver seam. Observation only: no body
+/// reads the context or the spans, so the determinism contract holds with
+/// tracing and profiling on or off.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to >= 1).
@@ -72,9 +81,9 @@ class ThreadPool {
   /// chunk completed. The first exception thrown by any chunk is captured
   /// and rethrown on the caller (remaining chunks are drained, not run).
   /// Called from a pool worker, runs body(0, n) inline (see class comment).
-  /// `site` names the call site in profile reports (util/prof.h) — a static
-  /// string like "greedy.candidate_solve"; pass nullptr for unattributed
-  /// call sites (tests). `policy` selects static chunking or per-item
+  /// `site` names the call's spans — a static string like
+  /// "greedy.candidate_solve"; pass nullptr for unattributed call sites
+  /// (tests). `policy` selects static chunking or per-item
   /// work-stealing claims (see ChunkPolicy); results are bit-identical
   /// either way.
   void ParallelFor(int64_t n,
@@ -85,14 +94,19 @@ class ThreadPool {
   /// True when the current thread is a worker of any ThreadPool.
   static bool InWorker();
 
-  /// Process-wide task observer, invoked once per dequeued pool task with the
-  /// task's queue-wait time. This is the layering seam that lets the
-  /// observability module (which sits *above* util) count pool tasks without
-  /// util depending on it: src/obs/metrics.cc installs a bridge at static
-  /// initialization. Pass nullptr to detach. Must be a noexcept-ish plain
-  /// function pointer — it runs on worker threads inside the dispatch path.
-  using TaskObserver = void (*)(uint64_t queue_wait_nanos);
-  static void SetTaskObserver(TaskObserver observer);
+  /// Process-wide observer: the layering seam that lets the observability
+  /// module (which sits *above* util) see pool activity without util
+  /// depending on it. src/obs/trace.cc installs one at static
+  /// initialization; pass nullptr to detach. The hooks are plain function
+  /// pointers that must not throw: they run inside the dispatch path.
+  struct TaskObserver {
+    /// Once per dequeued pool task, with the task's queue-wait time.
+    void (*on_task)(uint64_t queue_wait_nanos);
+    /// Once per finished pool span (see the class comment).
+    void (*on_span)(const TraceEvent& span);
+  };
+  /// `observer` must outlive its installation (a static).
+  static void SetTaskObserver(const TaskObserver* observer);
 
  private:
   void WorkerLoop();
@@ -112,10 +126,11 @@ class ThreadPool {
 /// Serial-fallback dispatch: runs `body` over [0, n) on the pool when one is
 /// provided, inline on the caller otherwise. This is the single entry point
 /// the engine's hot paths use, so `EngineOptions::num_threads == 0` (no
-/// pool) preserves the exact pre-parallel code path. With profiling on, the
-/// serial path records a single chunk span for `site` too, so a serial run's
-/// report still shows which wall-clock fraction the parallelizable regions
-/// cover (the Amdahl ceiling, measurable even on one core).
+/// pool) preserves the exact pre-parallel code path. The serial path records
+/// the same call span and one covering chunk span for `site`, so a serial
+/// run's profile still shows which wall-clock fraction the parallelizable
+/// regions cover (the Amdahl ceiling, measurable even on one core) and a
+/// serial trace still splits into its ParallelFor layers.
 void ParallelForOrSerial(ThreadPool* pool, int64_t n,
                          const std::function<void(int64_t, int64_t)>& body,
                          const char* site = nullptr,

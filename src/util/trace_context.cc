@@ -1,5 +1,7 @@
 #include "util/trace_context.h"
 
+#include <atomic>
+
 namespace iq {
 namespace {
 
@@ -8,7 +10,13 @@ namespace {
 /// save/restore in ThreadPool's dispatch path even with tracing disabled.
 thread_local TraceContext t_trace_context;
 
+std::atomic<uint64_t> g_next_span_id{1};
+
 }  // namespace
+
+uint64_t NewSpanId() {
+  return g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+}
 
 TraceContext CurrentTraceContext() { return t_trace_context; }
 

@@ -12,10 +12,10 @@
 // around the chunk bodies it runs on workers, so spans recorded from worker
 // threads still belong to the solve that dispatched them.
 //
-// The carrier lives in util — not obs — because ThreadPool (util) must
-// propagate it and util may not depend on obs. It is deliberately a dumb
-// POD + thread-local accessors: all policy (id allocation, recording,
-// tail-based retention) stays in obs/trace.h, which consumes this slot.
+// The carrier, the span record and span-id allocation live in util — not
+// obs — because ThreadPool (util) propagates the context and records its
+// own ParallelFor spans, and util may not depend on obs. Everything else
+// (the rings, tail-based retention, export) stays in obs/trace.h.
 //
 // Propagation is observation-only: nothing on a solve path reads the
 // context to make a decision, so the PR 3/8 bit-identity contract is
@@ -32,6 +32,41 @@ struct TraceContext {
 
   bool active() const { return trace_id != 0; }
 };
+
+/// What recorded a span. IQ_TRACE_SCOPE and IQ_TRACE_ROOT_SCOPE record
+/// kScope. ThreadPool::ParallelFor records one kParallelFor span per call
+/// (arg0 = the call's item count) that parents one kChunk span per
+/// executed chunk (arg0 = items in the chunk). A chunk claimed item by item
+/// (ChunkPolicy::kDynamic) also sets arg1 = its steals: items claimed after
+/// its participant had run its fair share of the range. A pool worker that
+/// found the range already drained records one empty chunk (arg0 = 0).
+enum class SpanKind : uint8_t { kScope, kParallelFor, kChunk };
+
+/// One completed span. `name` must have static storage duration (the macros
+/// pass string literals, ParallelFor its call-site label); the collector
+/// stores the pointer, not a copy. trace/span/parent ids are 0 for flat
+/// spans recorded outside any root.
+struct TraceEvent {
+  /// "unset" sentinel for the fixed arg payload (args are small facts like
+  /// a candidate index or an epoch id, rendered only when set).
+  static constexpr int64_t kNoArg = INT64_MIN;
+
+  const char* name = nullptr;
+  uint64_t trace_id = 0;
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;
+  uint64_t start_ns = 0;  // util/timer.h MonotonicNanos()
+  uint64_t dur_ns = 0;
+  /// Collector-assigned id of the recording thread (stamped on record).
+  int tid = 0;
+  SpanKind kind = SpanKind::kScope;
+  int64_t arg0 = kNoArg;
+  int64_t arg1 = kNoArg;
+};
+
+/// Allocates a process-unique nonzero span id. A root span's id doubles as
+/// its trace id.
+uint64_t NewSpanId();
 
 /// The calling thread's current context ({0, 0} when none is installed).
 TraceContext CurrentTraceContext();

@@ -1,9 +1,9 @@
-// Tests for the contention / critical-path profiler: the lock-free capture
-// layer (util/prof.h), wait-time attribution by mutex rank under injected
-// contention, chunk-span capture through ThreadPool::ParallelFor and the
-// serial fallback, the ProfileReport JSON round-trip that tools/iq_prof
-// depends on, the /profilez endpoint shape, and the flight recorder's
-// dropped-event counter mirroring. This suite also runs under the TSan CI
+// Tests for the contention / critical-path profiler: the lock-free mutex
+// capture layer (util/prof.h), wait-time attribution by mutex rank under
+// injected contention, chunk spans recorded into the trace rings through
+// ThreadPool::ParallelFor and the serial fallback, the ProfileReport JSON
+// round-trip that `iq_obs prof` depends on, the /profilez endpoint shape,
+// and the flight recorder's dropped-event counter mirroring. This suite also runs under the TSan CI
 // lane ("Prof" is in the lane's test regex) — the capture layer's whole
 // point is recording from many threads without locks.
 
@@ -88,7 +88,7 @@ TEST(ProfileTest, ContentionAttributionByRank) {
   }
   a.join();
   b.join();
-  const uint64_t end_ns = prof::NowNanos();
+  const uint64_t end_ns = MonotonicNanos();
   prof::SetEnabled(false);
 
   ProfileReport report = BuildProfileReport("contention", start_ns, end_ns);
@@ -142,7 +142,7 @@ TEST(ProfileTest, ChunkSpansThroughPoolAndSerialFallback) {
       nullptr, 64,
       [](int64_t, int64_t) { SpinFor(50'000); }, "profile_test.serial");
 
-  const uint64_t end_ns = prof::NowNanos();
+  const uint64_t end_ns = MonotonicNanos();
   prof::SetEnabled(false);
   EXPECT_EQ(touched.load(), kItems);
 
@@ -201,7 +201,7 @@ TEST(ProfileTest, ChunkImbalanceCollapsesUnderDynamicPolicy) {
                    ChunkPolicy::kStatic);
   pool.ParallelFor(kItems, heavy_tailed, "profile_test.dynamic_tail",
                    ChunkPolicy::kDynamic);
-  const uint64_t end_ns = prof::NowNanos();
+  const uint64_t end_ns = MonotonicNanos();
   prof::SetEnabled(false);
 
   ProfileReport report = BuildProfileReport("chunk-policy", start_ns, end_ns);
@@ -232,7 +232,7 @@ TEST(ProfileTest, ChunkImbalanceCollapsesUnderDynamicPolicy) {
       << "dynamic max " << dyn->max_chunk_nanos << " median "
       << dyn->median_chunk_nanos;
 
-  // The counters survive the iq_prof --json= round-trip...
+  // The counters survive the `iq_obs prof --json=` round-trip...
   std::vector<ProfileReport> parsed = ParseProfileReports(report.ToJson());
   ASSERT_EQ(parsed.size(), 1u);
   const ParallelSiteReport* dyn_rt =
@@ -289,13 +289,14 @@ TEST(ProfileTest, WorkerTimelineRecordsPoolActivity) {
         128, [](int64_t, int64_t) { SpinFor(5'000); },
         "profile_test.timeline");
   }
-  const uint64_t end_ns = prof::NowNanos();
+  const uint64_t end_ns = MonotonicNanos();
   prof::SetEnabled(false);
 
   ProfileReport report = BuildProfileReport("timeline", start_ns, end_ns);
-  // Helper tasks are mandatory for ParallelFor completion (the caller
-  // blocks on their drain), so at least one worker must have logged a
-  // transition; worker ids are nonzero (0 is the calling thread).
+  // A worker is a thread that ran chunks of a call dispatched from another
+  // thread. The caller blocks until both helper tasks ran, and four rounds
+  // of 12 spinning chunks leave them time to claim some, so at least one
+  // worker shows up; worker ids are collector tids, which start at 1.
   ASSERT_FALSE(report.workers.empty());
   for (const WorkerReport& w : report.workers) {
     EXPECT_GT(w.worker, 0u);
@@ -364,6 +365,24 @@ TEST(ProfileTest, ReportJsonRoundTrip) {
   EXPECT_EQ(ParseProfileReports(dump).size(), 2u);
 }
 
+TEST(ProfileTest, StringFieldsWithJsonSpecialsRoundTrip) {
+  // A quote, a backslash, a tab and a newline in every string field must
+  // come back from ToJson -> ParseProfileReports unchanged.
+  const std::string odd = "win \"a\\b\"\tx\ny";
+  ProfileReport r;
+  r.label = odd;
+  r.mutexes.push_back({odd, "kEngine", 1, 0, 0, 0, 0});
+  r.parallel_sites.push_back({odd, 1, 1, 1, 10, 10, 10, 10, 1.0, 1, 0});
+  const std::string json = r.ToJson();
+  std::vector<ProfileReport> parsed = ParseProfileReports(json);
+  ASSERT_EQ(parsed.size(), 1u) << json;
+  EXPECT_EQ(parsed[0].label, odd);
+  ASSERT_EQ(parsed[0].mutexes.size(), 1u);
+  EXPECT_EQ(parsed[0].mutexes[0].label, odd);
+  ASSERT_EQ(parsed[0].parallel_sites.size(), 1u);
+  EXPECT_EQ(parsed[0].parallel_sites[0].site, odd);
+}
+
 TEST(ProfileTest, ProfilezEndpointShape) {
   ProfilingScope scope;
   // Disabled: a placeholder report, still labeled and valid.
@@ -385,7 +404,7 @@ TEST(ProfileTest, ProfilezEndpointShape) {
   EXPECT_NE(response.find("\"projected_speedup_8\":"), std::string::npos);
   EXPECT_NE(response.find("profile_test.profilez"), std::string::npos);
 
-  // The parsed form round-trips through the same scanner iq_prof uses.
+  // The parsed form round-trips through the same scanner `iq_obs prof` uses.
   size_t body_at = response.find("\r\n\r\n");
   ASSERT_NE(body_at, std::string::npos);
   std::vector<ProfileReport> parsed =

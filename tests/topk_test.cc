@@ -69,23 +69,28 @@ TEST(HitRuleTest, StrictInequality) {
   EXPECT_TRUE(HitByThreshold(0.7, std::numeric_limits<double>::infinity()));
 }
 
+// gtest names each case after the raw bytes of its RtaCase, so the struct
+// must have no padding: uninitialised padding bytes made the test names
+// change from run to run. A 64-bit `dim` fills the gap before `seed`.
 struct RtaCase {
   int n;
   int m;
-  int dim;
+  int64_t dim;
   uint64_t seed;
 };
+static_assert(sizeof(RtaCase) == 2 * sizeof(int) + 2 * sizeof(uint64_t));
 
 class RtaSweep : public testing::TestWithParam<RtaCase> {};
 
 TEST_P(RtaSweep, CountHitsMatchesBruteForce) {
   const auto& param = GetParam();
-  auto rows = RandomRows(param.n, param.dim, param.seed);
+  const int dim = static_cast<int>(param.dim);
+  auto rows = RandomRows(param.n, dim, param.seed);
   Rng rng(param.seed + 100);
   std::vector<Vec> ws;
   std::vector<int> ks;
   for (int q = 0; q < param.m; ++q) {
-    ws.push_back(rng.UniformVector(param.dim, 0.0, 1.0));
+    ws.push_back(rng.UniformVector(dim, 0.0, 1.0));
     ks.push_back(1 + static_cast<int>(rng.UniformInt(0, 9)));
   }
   const int target = 0;

@@ -7,7 +7,8 @@
 // rooted at the batch root, span intervals nest inside their parents, and a
 // multi-threaded batch shows spans from at least two recording threads.
 // Tail-capture policy (error retention, keep-first-N warmup, bounded store)
-// and the iq_trace analysis layer are covered on the same traces.
+// and the `iq_obs trace` analysis layer are covered on the same traces, and
+// the critical-path walk on hand-built fixtures.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,12 @@ int CountSpansNamed(const RetainedTrace& rt, const std::string& name) {
   return static_cast<int>(std::count_if(
       rt.spans.begin(), rt.spans.end(),
       [&](const TraceEvent& s) { return name == s.name; }));
+}
+
+int CountSpansOfKind(const RetainedTrace& rt, SpanKind kind) {
+  return static_cast<int>(std::count_if(
+      rt.spans.begin(), rt.spans.end(),
+      [&](const TraceEvent& s) { return s.kind == kind; }));
 }
 
 Result<IqEngine> MakeTracedEngine(int n, int m, int dim, uint64_t seed,
@@ -227,7 +234,26 @@ TEST(TraceCausalTest, ParallelForChunksJoinTheDispatchersTrace) {
         TraceCollector::Global().RetainedTraces();
     ASSERT_EQ(retained.size(), 1u);
     const RetainedTrace& rt = retained[0];
-    ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN) + 1);
+    // The root, one ParallelFor call span, its chunk spans, and one span per
+    // item. Static chunks are 64 / (4 * 5) + 1 = 4 items wide; dynamic runs
+    // of claims close after 200 µs, so their count depends on timing, but
+    // together they cover every item exactly once. A worker that found the
+    // range drained adds an empty chunk.
+    const int chunks = CountSpansOfKind(rt, SpanKind::kChunk);
+    int nonempty_chunks = 0;
+    int64_t chunk_items = 0;
+    for (const TraceEvent& s : rt.spans) {
+      if (s.kind != SpanKind::kChunk) continue;
+      nonempty_chunks += s.arg0 > 0 ? 1 : 0;
+      chunk_items += s.arg0;
+    }
+    if (policy == ChunkPolicy::kStatic) {
+      EXPECT_EQ(nonempty_chunks, 16);
+    }
+    EXPECT_LE(chunks - nonempty_chunks, 4);  // at most one per worker
+    EXPECT_EQ(chunk_items, kN);
+    EXPECT_EQ(CountSpansOfKind(rt, SpanKind::kParallelFor), 1);
+    ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN + 2 + chunks));
     ExpectWellFormedTree(rt);
     EXPECT_EQ(CountSpansNamed(rt, "test.chunk_item"), kN);
     EXPECT_GE(rt.NumThreads(), 2) << "fan-out never left the caller thread";
@@ -372,7 +398,7 @@ TEST(TraceCausalTest, MetricsMirrorRetentionCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// /tracez payload + iq_trace analysis over a real batch trace
+// /tracez payload + `iq_obs trace` analysis over real traces
 // ---------------------------------------------------------------------------
 
 TEST(TraceCausalTest, TracezRoundTripsThroughAnalysis) {
@@ -400,8 +426,8 @@ TEST(TraceCausalTest, TracezRoundTripsThroughAnalysis) {
   EXPECT_EQ(analysis.trace_id, trace.trace_id);
   ASSERT_FALSE(analysis.critical_path.empty());
   EXPECT_EQ(analysis.critical_path.front().name, "IqEngine::SolveBatch");
-  // The telescoping self-time decomposition accounts for (essentially all
-  // of) the root's wall clock — the iq_trace acceptance bar is 90%.
+  // Child spans (the batch's ParallelFor call and its items) explain
+  // essentially all of the root's wall clock; the acceptance bar is 90%.
   EXPECT_GE(analysis.accounted_fraction, 0.9);
   EXPECT_FALSE(analysis.self_time.empty());
   EXPECT_NE(TraceVerdict(analysis).find("critical path"), std::string::npos);
@@ -412,6 +438,73 @@ TEST(TraceCausalTest, TracezRoundTripsThroughAnalysis) {
   EXPECT_NE(json.find("\"iq_trace\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_analysis\""), std::string::npos);
   EXPECT_NE(json.find("\"verdict\""), std::string::npos);
+
+  tc.SetEnabled(false);
+  tc.Clear();
+  tc.ClearRetained();
+}
+
+TEST(TraceCausalTest, TracezSpanNameWithJsonSpecialsRoundTrips) {
+  ScopedTracing tracing(RetainAll());
+  static constexpr const char* kOdd = "win \"a\\b\"\tx\ny";
+  {
+    IQ_TRACE_ROOT_SCOPE(root, kOdd);
+    IQ_TRACE_SCOPE(kOdd);
+  }
+  const TraceDump dump =
+      ParseTracezDump(TraceCollector::Global().TracezJson());
+  ASSERT_EQ(dump.traces.size(), 1u);
+  EXPECT_EQ(dump.traces[0].op, kOdd);
+  ASSERT_EQ(dump.traces[0].spans.size(), 2u);
+  for (const ParsedSpan& span : dump.traces[0].spans) {
+    EXPECT_EQ(span.name, kOdd);
+  }
+}
+
+TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
+  // With ParallelFor spans in the rings, a serial greedy search splits into
+  // its layers: every BuildCandidates span has a candidate-solve and a
+  // candidate-eval child, and the analyzer ranks both by self time.
+  auto engine = MakeTracedEngine(60, 30, 3, 77, /*num_threads=*/0);
+  ASSERT_TRUE(engine.ok());
+  TraceCollector& tc = TraceCollector::Global();
+  tc.ClearRetained();
+  tc.Clear();
+  ASSERT_TRUE(engine->MaxHit(0, 0.3).ok());
+  std::vector<RetainedTrace> retained = tc.RetainedTraces();
+  ASSERT_EQ(retained.size(), 1u);
+  const RetainedTrace& rt = retained[0];
+  ExpectWellFormedTree(rt);
+  EXPECT_EQ(rt.NumThreads(), 1);
+  std::map<uint64_t, std::multiset<std::string>> child_names;
+  for (const TraceEvent& s : rt.spans) {
+    child_names[s.parent_span_id].insert(s.name);
+  }
+  int build_candidates = 0;
+  for (const TraceEvent& s : rt.spans) {
+    if (std::string(s.name) != "BuildCandidates") continue;
+    ++build_candidates;
+    const std::multiset<std::string>& kids = child_names[s.span_id];
+    EXPECT_EQ(kids.count("greedy.candidate_solve"), 1u);
+    EXPECT_EQ(kids.count("greedy.candidate_eval"), 1u);
+  }
+  EXPECT_GT(build_candidates, 0);
+
+  const TraceDump dump = ParseTracezDump(tc.TracezJson());
+  ASSERT_EQ(dump.traces.size(), 1u);
+  const TraceAnalysis analysis = AnalyzeTrace(dump.traces[0]);
+  for (const char* layer :
+       {"greedy.candidate_solve", "greedy.candidate_eval"}) {
+    auto ranked = std::find_if(
+        analysis.self_time.begin(), analysis.self_time.end(),
+        [&](const SelfTimeRollup& r) { return r.name == layer; });
+    ASSERT_NE(ranked, analysis.self_time.end()) << layer;
+    EXPECT_GT(ranked->self_ns, 0u) << layer;
+  }
+  const std::string report =
+      FormatTraceReport(dump, static_cast<int>(analysis.self_time.size()));
+  EXPECT_NE(report.find("greedy.candidate_solve"), std::string::npos);
+  EXPECT_NE(report.find("greedy.candidate_eval"), std::string::npos);
 
   tc.SetEnabled(false);
   tc.Clear();
@@ -454,6 +547,105 @@ TEST(TraceCausalTest, PerfettoExportCarriesTidsAndFlows) {
   tc.SetEnabled(false);
   tc.Clear();
   tc.ClearRetained();
+}
+
+// ---------------------------------------------------------------------------
+// Critical-path walk on fixtures where descending into the last-ending
+// child alone gives the wrong answer
+// ---------------------------------------------------------------------------
+
+/// A one-thread trace from (name, span id, parent id, start, end) rows; the
+/// first row is the root.
+struct FixtureSpan {
+  const char* name;
+  uint64_t id;
+  uint64_t parent;
+  uint64_t start;
+  uint64_t end;
+};
+
+ParsedTrace FixtureTrace(const std::vector<FixtureSpan>& rows) {
+  ParsedTrace t;
+  t.trace_id = rows.front().id;
+  t.op = rows.front().name;
+  t.start_ns = rows.front().start;
+  t.dur_ns = rows.front().end - rows.front().start;
+  t.num_threads = 1;
+  for (const FixtureSpan& r : rows) {
+    ParsedSpan s;
+    s.trace_id = t.trace_id;
+    s.span_id = r.id;
+    s.parent_span_id = r.parent;
+    s.name = r.name;
+    s.tid = 1;
+    s.start_ns = r.start;
+    s.dur_ns = r.end - r.start;
+    t.spans.push_back(s);
+  }
+  return t;
+}
+
+/// "name:self" per critical-path step, in path order.
+std::vector<std::string> PathOf(const TraceAnalysis& a) {
+  std::vector<std::string> path;
+  for (const CriticalPathStep& s : a.critical_path) {
+    path.push_back(s.name + ":" + std::to_string(s.self_ns));
+  }
+  return path;
+}
+
+TEST(TraceAnalysisTest, SerialSiblingsAreAllOnTheCriticalPath) {
+  // The root waited on A, then on B. Descending into B alone would call
+  // A's 60 ns root self time.
+  const TraceAnalysis a = AnalyzeTrace(FixtureTrace({
+      {"root", 1, 0, 0, 100},
+      {"A", 2, 1, 0, 60},
+      {"B", 3, 1, 60, 100},
+  }));
+  EXPECT_EQ(PathOf(a), (std::vector<std::string>{"root:0", "A:60", "B:40"}));
+  EXPECT_EQ(a.accounted_ns, 100u);
+  EXPECT_DOUBLE_EQ(a.accounted_fraction, 1.0);
+  EXPECT_NE(TraceVerdict(a).find("60.0% of the wall clock is self time in A"),
+            std::string::npos)
+      << TraceVerdict(a);
+}
+
+TEST(TraceAnalysisTest, GapBetweenChildrenIsParentSelfTime) {
+  // Descending into B alone would drop A and give the root 90 ns.
+  const TraceAnalysis a = AnalyzeTrace(FixtureTrace({
+      {"root", 1, 0, 0, 100},
+      {"A", 2, 1, 0, 10},
+      {"B", 3, 1, 90, 100},
+  }));
+  EXPECT_EQ(PathOf(a),
+            (std::vector<std::string>{"root:80", "A:10", "B:10"}));
+  EXPECT_EQ(a.accounted_ns, 20u);
+  EXPECT_DOUBLE_EQ(a.accounted_fraction, 0.2);
+  EXPECT_NE(TraceVerdict(a).find("80.0% of the wall clock is self time in "
+                                 "root"),
+            std::string::npos)
+      << TraceVerdict(a);
+}
+
+TEST(TraceAnalysisTest, OverlappingParallelChildLeavesThePath) {
+  // C ran first; then A and B ran in parallel and the root waited for B.
+  // A overlaps B, so it is off the path; C ends before B starts, so it is
+  // on it, and only the 5 ns between C and B is root self time.
+  const TraceAnalysis a = AnalyzeTrace(FixtureTrace({
+      {"root", 1, 0, 0, 100},
+      {"C", 2, 1, 0, 15},
+      {"A", 3, 1, 15, 90},
+      {"B", 4, 1, 20, 100},
+      {"B.inner", 5, 4, 30, 70},
+  }));
+  EXPECT_EQ(PathOf(a), (std::vector<std::string>{"root:5", "C:15", "B:40",
+                                                 "B.inner:40"}));
+  EXPECT_EQ(a.critical_path[3].depth, 2);
+  EXPECT_EQ(a.accounted_ns, 95u);
+  // Whole-trace self time still counts the parallel child.
+  ASSERT_FALSE(a.self_time.empty());
+  EXPECT_EQ(a.self_time.front().name, "A");
+  EXPECT_EQ(a.self_time.front().self_ns, 75u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -200,6 +201,49 @@ TEST(CsvTest, FileRoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->rows, t.rows);
   EXPECT_FALSE(ReadCsvFile(path + ".missing").ok());
+}
+
+TEST(JsonTest, EscapeWritesOneLineForEveryControlCharacter) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(JsonEscape("\n\r\t\x01\x1f"), "\\n\\r\\t\\u0001\\u001f");
+  std::string all;
+  for (int c = 1; c < 128; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(JsonEscape(all).find('\n'), std::string::npos);
+}
+
+TEST(JsonTest, FindValueUnescapesWhatEscapeWrote) {
+  std::string all;
+  for (int c = 1; c < 128; ++c) all += static_cast<char>(c);
+  for (const std::string& value :
+       {std::string("win \"a\\b\"\tx\n"), std::string("\\"), all}) {
+    const std::string line = "{\"first\": \"" + JsonEscape(value) +
+                             "\", \"second\": \"" + JsonEscape(value) +
+                             "\"}";
+    std::string out;
+    ASSERT_TRUE(JsonFindValue(line, "first", &out)) << line;
+    EXPECT_EQ(out, value);
+    ASSERT_TRUE(JsonFindValue(line, "second", &out)) << line;
+    EXPECT_EQ(out, value);
+  }
+}
+
+TEST(JsonTest, FindValueIsTolerant) {
+  std::string out;
+  EXPECT_FALSE(JsonFindValue("{\"a\": 1}", "b", &out));
+  EXPECT_FALSE(JsonFindValue("{\"a\": \"cut off", "a", &out));
+  EXPECT_FALSE(JsonFindValue("{\"a\": \"cut \\", "a", &out));
+  // A key only matches whole: "wait_nanos" is not "max_wait_nanos".
+  EXPECT_EQ(JsonFindU64("{\"max_wait_nanos\": 9, \"wait_nanos\": 4}",
+                        "wait_nanos"),
+            4u);
+  ASSERT_TRUE(JsonFindValue("{\"on\": true}", "on", &out));
+  EXPECT_EQ(out, "true");
+  EXPECT_EQ(JsonFindInt("{\"n\": -12}", "n"), -12);
+  EXPECT_EQ(JsonFindInt("{\"n\": x}", "n", 7), 7);
+  EXPECT_EQ(JsonFindU64("{\"n\": -12}", "n", 3), 3u);
+  EXPECT_DOUBLE_EQ(JsonFindDouble("{\"f\": 0.25}", "f"), 0.25);
+  EXPECT_DOUBLE_EQ(JsonFindDouble("{}", "f", 1.5), 1.5);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 # their Prometheus names, every sample line must be preceded by # HELP and
 # # TYPE lines, and histograms must expose _bucket/_sum/_count series.
 #
-# --profile validates an iq_prof --json= machine report (DESIGN.md §11):
+# --profile validates an `iq_obs prof --json=` machine report (DESIGN.md §11):
 # at least one profile with a label and a window, every serial_fraction in
 # [0, 1], and a non-empty verdict sentence.
 #
@@ -148,7 +148,7 @@ if [ "$check_trace" -eq 1 ]; then
 fi
 
 if [ "$check_profile" -eq 1 ]; then
-  # iq_prof machine report, not a metrics snapshot.
+  # `iq_obs prof` machine report, not a metrics snapshot.
   num_profiles="$(grep -oE '"num_profiles": [0-9]+' "$json" \
                   | grep -oE '[0-9]+$' || true)"
   if [ -z "$num_profiles" ] || [ "$num_profiles" -eq 0 ]; then
@@ -181,7 +181,7 @@ if [ "$check_profile" -eq 1 ]; then
   failures=$((failures + bad_fraction))
   verdict="$(grep -oE '"verdict": "[^"]+"' "$json" || true)"
   if [ -z "$verdict" ]; then
-    echo "check_metrics: verdict missing — iq_prof must name the" \
+    echo "check_metrics: verdict missing — iq_obs prof must name the" \
          "serialization point" >&2
     failures=$((failures + 1))
   else

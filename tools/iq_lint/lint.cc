@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <regex>
 #include <sstream>
 #include <tuple>
 #include <utility>
+
+#include "util/json.h"
 
 namespace iq {
 namespace lint {
@@ -654,40 +655,6 @@ Result<std::vector<Finding>> LintTree(const std::string& repo_root) {
             });
   return findings;
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string FindingsToJson(const std::vector<Finding>& findings) {
   std::string out = "{\n  \"findings\": [";
