@@ -22,14 +22,6 @@
 //   --threads=LIST         comma-separated thread counts to run (default
 //                          0,1,2,4,8; 0 = serial fallback, always run first
 //                          so speedups have a baseline)
-//   --chunk-policy=WHICH   dynamic (default), static, or both: the chunk
-//                          claiming policy for the greedy and solve_batch
-//                          sweeps. "both" juxtaposes work stealing against
-//                          fixed chunks on the same workload — the A/B the
-//                          imbalance numbers in DESIGN.md §13 come from.
-//                          index_build has no policy knob (its fan-out is
-//                          the deterministic static partition) and is
-//                          reported once, labeled static.
 //   --profile=PATH         after the timed reps of each cell, run one extra
 //                          rep under the contention profiler (obs/profile.h)
 //                          and write every window's ProfileReport — labeled
@@ -75,24 +67,17 @@ namespace {
 
 constexpr int kDefaultThreadCounts[] = {0, 1, 2, 4, 8};
 
-/// Shared knobs for one bench run: which thread counts to sweep, which
-/// chunk policies to A/B, and (when --profile= is set) where the per-cell
-/// ProfileReports accumulate.
+/// Shared knobs for one bench run: which thread counts to sweep and (when
+/// --profile= is set) where the per-cell ProfileReports accumulate.
 struct RunConfig {
   std::vector<int> thread_counts;
-  std::vector<ChunkPolicy> policies = {ChunkPolicy::kDynamic};
   std::vector<ProfileReport>* profiles = nullptr;  // null: profiling off
 };
-
-const char* PolicyName(ChunkPolicy policy) {
-  return policy == ChunkPolicy::kDynamic ? "dynamic" : "static";
-}
 
 struct Cell {
   int num_threads = 0;
   double seconds = 0.0;
   double speedup = 1.0;  // serial seconds / this cell's seconds
-  ChunkPolicy policy = ChunkPolicy::kDynamic;
 };
 
 struct PathResult {
@@ -130,47 +115,34 @@ double MeasureCell(const RunConfig& cfg, const std::string& label, int reps,
   return best;
 }
 
-/// "<path>/threads=N", plus a "/policy=static" suffix for static cells —
-/// dynamic is the production default, so its labels (and the derived
-/// bench_regress keys) stay identical to pre-policy reports.
-std::string CellLabel(const std::string& path, int num_threads,
-                      ChunkPolicy policy) {
-  std::string label = StrFormat("%s/threads=%d", path.c_str(), num_threads);
-  if (policy == ChunkPolicy::kStatic) label += "/policy=static";
-  return label;
+/// "<path>/threads=N": the profile label of one cell.
+std::string CellLabel(const std::string& path, int num_threads) {
+  return StrFormat("%s/threads=%d", path.c_str(), num_threads);
 }
 
-/// Speedups are relative to the serial cell *of the same policy*, so each
-/// policy's scaling column answers "what did threads buy" independently.
+/// Speedups are relative to the first cell (the serial one by default).
 void FillSpeedups(PathResult* result) {
-  for (ChunkPolicy policy : {ChunkPolicy::kDynamic, ChunkPolicy::kStatic}) {
-    double serial = -1.0;
-    for (Cell& cell : result->cells) {
-      if (cell.policy != policy) continue;
-      if (serial < 0.0) serial = cell.seconds;
-      cell.speedup = cell.seconds > 0.0 ? serial / cell.seconds : 0.0;
-    }
+  const double serial = result->cells.front().seconds;
+  for (Cell& cell : result->cells) {
+    cell.speedup = cell.seconds > 0.0 ? serial / cell.seconds : 0.0;
   }
 }
 
 PathResult BenchIndexBuild(const RunConfig& cfg, const Workload& w,
                            int reps) {
-  // No policy sweep: the build's fan-out is the deterministic static
-  // partition (subdomain_index.cc), so there is exactly one variant.
   PathResult result{"index_build", {}};
   for (int num_threads : cfg.thread_counts) {
     std::unique_ptr<ThreadPool> pool;
     if (num_threads > 0) pool = std::make_unique<ThreadPool>(num_threads);
     SubdomainIndexOptions options;
     options.pool = pool.get();
-    const std::string label =
-        CellLabel(result.path, num_threads, ChunkPolicy::kStatic);
-    double seconds = MeasureCell(cfg, label, reps, [&] {
-      auto index =
-          SubdomainIndex::Build(w.view.get(), w.queries.get(), options);
-      IQ_CHECK(index.ok());
-    });
-    result.cells.push_back({num_threads, seconds, 1.0, ChunkPolicy::kStatic});
+    double seconds =
+        MeasureCell(cfg, CellLabel(result.path, num_threads), reps, [&] {
+          auto index =
+              SubdomainIndex::Build(w.view.get(), w.queries.get(), options);
+          IQ_CHECK(index.ok());
+        });
+    result.cells.push_back({num_threads, seconds, 1.0});
   }
   FillSpeedups(&result);
   return result;
@@ -182,25 +154,22 @@ PathResult BenchGreedyMaxHit(const RunConfig& cfg, const Workload& w,
   // search (the determinism contract makes the work content equal too).
   PathResult result{"greedy_max_hit", {}};
   const int num_targets = 8;
-  for (ChunkPolicy policy : cfg.policies) {
-    for (int num_threads : cfg.thread_counts) {
-      std::unique_ptr<ThreadPool> pool;
-      if (num_threads > 0) pool = std::make_unique<ThreadPool>(num_threads);
-      IqOptions options;
-      options.pool = pool.get();
-      options.chunk_policy = policy;
-      const std::string label = CellLabel(result.path, num_threads, policy);
-      double seconds = MeasureCell(cfg, label, reps, [&] {
-        for (int t = 0; t < num_targets; ++t) {
-          auto ctx = IqContext::FromIndex(w.index.get(), t);
-          IQ_CHECK(ctx.ok());
-          EseEvaluator ese(w.index.get(), t);
-          auto r = MaxHitIq(*ctx, &ese, 0.25, options);
-          IQ_CHECK(r.ok());
-        }
-      });
-      result.cells.push_back({num_threads, seconds, 1.0, policy});
-    }
+  for (int num_threads : cfg.thread_counts) {
+    std::unique_ptr<ThreadPool> pool;
+    if (num_threads > 0) pool = std::make_unique<ThreadPool>(num_threads);
+    IqOptions options;
+    options.pool = pool.get();
+    double seconds =
+        MeasureCell(cfg, CellLabel(result.path, num_threads), reps, [&] {
+          for (int t = 0; t < num_targets; ++t) {
+            auto ctx = IqContext::FromIndex(w.index.get(), t);
+            IQ_CHECK(ctx.ok());
+            EseEvaluator ese(w.index.get(), t);
+            auto r = MaxHitIq(*ctx, &ese, 0.25, options);
+            IQ_CHECK(r.ok());
+          }
+        });
+    result.cells.push_back({num_threads, seconds, 1.0});
   }
   FillSpeedups(&result);
   return result;
@@ -218,35 +187,32 @@ PathResult BenchSolveBatch(const RunConfig& cfg, int n, int m, int reps) {
     item.beta = 0.2;
     items.push_back(item);
   }
-  for (ChunkPolicy policy : cfg.policies) {
-    for (int num_threads : cfg.thread_counts) {
-      Dataset data = MakeIndependent(n, PaperParams::kDim, 42);
-      QueryGenOptions qopts;
-      qopts.k_max = 50;
-      EngineOptions eopts;
-      eopts.num_threads = num_threads;
-      eopts.chunk_policy = policy;
-      auto engine = IqEngine::Create(
-          std::move(data), LinearForm::Identity(PaperParams::kDim),
-          MakeQueries(m, PaperParams::kDim, 43, qopts), eopts);
-      IQ_CHECK(engine.ok());
-      const std::string label = CellLabel(result.path, num_threads, policy);
-      double seconds = MeasureCell(cfg, label, reps, [&] {
-        auto batch = engine->SolveBatch(items);
-        IQ_CHECK(batch.ok());
-      });
-      result.cells.push_back({num_threads, seconds, 1.0, policy});
-    }
+  for (int num_threads : cfg.thread_counts) {
+    Dataset data = MakeIndependent(n, PaperParams::kDim, 42);
+    QueryGenOptions qopts;
+    qopts.k_max = 50;
+    EngineOptions eopts;
+    eopts.num_threads = num_threads;
+    auto engine = IqEngine::Create(
+        std::move(data), LinearForm::Identity(PaperParams::kDim),
+        MakeQueries(m, PaperParams::kDim, 43, qopts), eopts);
+    IQ_CHECK(engine.ok());
+    double seconds =
+        MeasureCell(cfg, CellLabel(result.path, num_threads), reps, [&] {
+          auto batch = engine->SolveBatch(items);
+          IQ_CHECK(batch.ok());
+        });
+    result.cells.push_back({num_threads, seconds, 1.0});
   }
   FillSpeedups(&result);
   return result;
 }
 
 void PrintTable(const std::vector<PathResult>& paths) {
-  TablePrinter table({"path", "policy", "threads", "seconds", "speedup"});
+  TablePrinter table({"path", "threads", "seconds", "speedup"});
   for (const PathResult& p : paths) {
     for (const Cell& c : p.cells) {
-      table.AddRow({p.path, PolicyName(c.policy),
+      table.AddRow({p.path,
                     c.num_threads == 0 ? "serial" : FmtInt(c.num_threads),
                     FmtDouble(c.seconds * 1e3, 3) + " ms",
                     FmtDouble(c.speedup, 2) + "x"});
@@ -267,8 +233,7 @@ Status WriteJson(const std::string& path,
       const Cell& c = paths[i].cells[j];
       if (j > 0) json += ",";
       json += "{\"threads\":" + std::to_string(c.num_threads) +
-              ",\"policy\":\"" + PolicyName(c.policy) +
-              "\",\"seconds\":" + FmtDouble(c.seconds, 6) +
+              ",\"seconds\":" + FmtDouble(c.seconds, 6) +
               ",\"speedup\":" + FmtDouble(c.speedup, 4) + "}";
     }
     json += "]}";
@@ -333,7 +298,6 @@ int Main(int argc, char** argv) {
   int slow_trace_nanos = 0;
   std::string json_path, scrape_path, profile_path, threads_list;
   std::string scrape_tracez_path;
-  std::string chunk_policy = "dynamic";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto intval = [&arg](const char* prefix, int* out) {
@@ -369,10 +333,6 @@ int Main(int argc, char** argv) {
       threads_list = arg.substr(10);
       continue;
     }
-    if (arg.rfind("--chunk-policy=", 0) == 0) {
-      chunk_policy = arg.substr(15);
-      continue;
-    }
     std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
     return 1;
   }
@@ -387,18 +347,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
     cfg.thread_counts = *parsed;
-  }
-  if (chunk_policy == "dynamic") {
-    cfg.policies = {ChunkPolicy::kDynamic};
-  } else if (chunk_policy == "static") {
-    cfg.policies = {ChunkPolicy::kStatic};
-  } else if (chunk_policy == "both") {
-    cfg.policies = {ChunkPolicy::kDynamic, ChunkPolicy::kStatic};
-  } else {
-    std::fprintf(stderr,
-                 "bad --chunk-policy=%s (known: dynamic, static, both)\n",
-                 chunk_policy.c_str());
-    return 1;
   }
   std::vector<ProfileReport> profiles;
   if (!profile_path.empty()) cfg.profiles = &profiles;
@@ -428,8 +376,7 @@ int Main(int argc, char** argv) {
                 exporter.port());
   }
 
-  std::printf("micro_parallel: n=%d m=%d reps=%d chunk-policy=%s (best-of)\n",
-              n, m, reps, chunk_policy.c_str());
+  std::printf("micro_parallel: n=%d m=%d reps=%d (best-of)\n", n, m, reps);
   Workload w = MakeLinearWorkload(SyntheticKind::kIndependent, n, m,
                                   PaperParams::kDim, 42);
   std::vector<PathResult> paths;

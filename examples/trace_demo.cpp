@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   const char* trace_path = argc > 1 ? argv[1] : "iq_trace.json";
 
-  // Tracing is compiled in by default (IQ_ENABLE_TRACING) but off at run
-  // time until a collector opts in.
+  // Tracing is always compiled in but off at run time until a collector
+  // opts in.
   iq::TraceCollector::Global().SetEnabled(true);
   iq::MetricsRegistry::Global().Reset();
 

@@ -200,7 +200,7 @@ Result<MultiIqResult> CombinatorialMinCostIq(
 Result<MultiIqResult> CombinatorialMaxHitIq(
     const SubdomainIndex& index, const std::vector<int>& targets, double beta,
     const std::vector<IqOptions>& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
   IQ_ASSIGN_OR_RETURN(MultiState st, InitState(index, targets, options));
 

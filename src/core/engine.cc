@@ -1,7 +1,9 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "core/self_check.h"
@@ -120,6 +122,19 @@ void RecordSolveStart(const char* op, IqScheme scheme, int target, int tau,
   EventLog::Global().Record(std::move(e));
 }
 
+/// Every number the engine stores must be finite. A NaN or infinite weight,
+/// attribute or strategy component would otherwise trip an internal check
+/// (an infinite weight aborts in opt/bounds) or silently poison every
+/// ranking it touches (a NaN score never compares below a threshold).
+Status CheckFinite(const Vec& v, const char* what) {
+  for (double x : v) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument(std::string(what) + " must be finite");
+    }
+  }
+  return Status::Ok();
+}
+
 /// The object's rank under query q, computed against one pinned epoch (the
 /// snapshot analogue of the old mutex-guarded helper).
 Result<int> RankUnderQueryOn(const EpochHandle& snap, int object, int q) {
@@ -186,6 +201,13 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
   if (options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
+  for (int i = 0; i < dataset.size(); ++i) {
+    if (!dataset.is_active(i)) continue;
+    IQ_RETURN_IF_ERROR(CheckFinite(dataset.attrs(i), "object attributes"));
+  }
+  for (const TopKQuery& q : queries) {
+    IQ_RETURN_IF_ERROR(CheckFinite(q.weights, "query weights"));
+  }
   auto dataset_ptr = std::make_shared<Dataset>(std::move(dataset));
   auto queries_ptr = std::make_shared<QuerySet>(form.num_weights());
   for (TopKQuery& q : queries) {
@@ -228,17 +250,16 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
       /*epoch_arg=*/1, dataset_ptr, queries_ptr, view_ptr,
       std::make_shared<const SubdomainIndex>(std::move(index)));
   return IqEngine(std::move(snapshot), std::move(pool), std::move(exporter),
-                  std::move(options.event_dump_path), options.chunk_policy);
+                  std::move(options.event_dump_path));
 }
 
 IqEngine::IqEngine(std::shared_ptr<const EpochSnapshot> snapshot,
                    std::unique_ptr<ThreadPool> pool,
                    std::unique_ptr<MetricsExporter> exporter,
-                   std::string event_dump_path, ChunkPolicy chunk_policy)
+                   std::string event_dump_path)
     : pool_(std::move(pool)),
       exporter_(std::move(exporter)),
-      event_dump_path_(std::move(event_dump_path)),
-      chunk_policy_(chunk_policy) {
+      event_dump_path_(std::move(event_dump_path)) {
   EngineMetrics::Get().epoch->Set(static_cast<int64_t>(snapshot->epoch));
   epoch_.store(std::move(snapshot), std::memory_order_release);
 }
@@ -254,7 +275,6 @@ IqEngine::IqEngine(IqEngine&& other) noexcept {
   pool_ = std::move(other.pool_);
   exporter_ = std::move(other.exporter_);
   event_dump_path_ = std::move(other.event_dump_path_);
-  chunk_policy_ = other.chunk_policy_;
   apply_ticket_ = other.apply_ticket_;
 }
 
@@ -271,7 +291,6 @@ IqEngine& IqEngine::operator=(IqEngine&& other) noexcept {
     pool_ = std::move(other.pool_);
     exporter_ = std::move(other.exporter_);
     event_dump_path_ = std::move(other.event_dump_path_);
-    chunk_policy_ = other.chunk_policy_;
     apply_ticket_ = other.apply_ticket_;
   }
   return *this;
@@ -450,7 +469,7 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
           slots[static_cast<size_t>(i)] = std::move(r);
         }
       },
-      "engine.solve_batch", chunk_policy_);
+      "engine.solve_batch");
   EngineMetrics::Get().batch_items->Increment(
       static_cast<uint64_t>(items.size()));
   // Deterministic error policy: the lowest-index failure wins.
@@ -527,6 +546,7 @@ void IqEngine::PublishLocked(Delta delta) {
 }
 
 Result<int> IqEngine::AddQuery(TopKQuery q) {
+  IQ_RETURN_IF_ERROR(CheckFinite(q.weights, "query weights"));
   MutexLock lock(&mu_);
   Delta delta = BeginDelta(DeltaKind::kQueries);
   IQ_ASSIGN_OR_RETURN(int id, delta.mutable_queries->Add(std::move(q)));
@@ -547,6 +567,7 @@ Status IqEngine::RemoveQuery(int q) {
 }
 
 Result<int> IqEngine::AddObject(Vec attrs) {
+  IQ_RETURN_IF_ERROR(CheckFinite(attrs, "object attributes"));
   MutexLock lock(&mu_);
   if (static_cast<int>(attrs.size()) != CurrentEpoch()->dataset->dim()) {
     return Status::InvalidArgument("attribute dimension mismatch");
@@ -605,7 +626,10 @@ Status IqEngine::ApplyStrategyOnDelta(Delta& delta, int target,
   if (static_cast<int>(strategy.size()) != dataset.dim()) {
     return Status::InvalidArgument("strategy dimension mismatch");
   }
+  IQ_RETURN_IF_ERROR(CheckFinite(strategy, "strategy"));
   Vec improved = Add(dataset.attrs(target), strategy);
+  // Finite + finite can still overflow to infinity.
+  IQ_RETURN_IF_ERROR(CheckFinite(improved, "improved attributes"));
   const size_t reranks_before = index.maintenance_rerank_events();
   const size_t affected_before = index.maintenance_affected_subdomains();
   // Update order matters: the index patches signatures by treating the

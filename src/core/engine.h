@@ -43,11 +43,6 @@ struct EngineOptions {
   /// through the pool with results bit-identical to serial (deterministic
   /// reduction — see tests/parallel_diff_test.cc).
   int num_threads = 0;
-  /// Chunking for the engine's pooled loops (engine.solve_batch and the
-  /// candidate loops of engine-driven searches). Batch items and candidate
-  /// bodies are heavy-tailed, so work-stealing claims are the default;
-  /// results are bit-identical under either policy (util/thread_pool.h).
-  ChunkPolicy chunk_policy = ChunkPolicy::kDynamic;
   /// Live observability endpoint (DESIGN.md §9). -1 (the default) serves
   /// nothing; 0 starts the /metrics exporter on a kernel-chosen loopback
   /// port (read it back via exporter()->port()); any other value binds
@@ -269,7 +264,7 @@ class IqEngine {
   IqEngine(std::shared_ptr<const EpochSnapshot> snapshot,
            std::unique_ptr<ThreadPool> pool,
            std::unique_ptr<MetricsExporter> exporter,
-           std::string event_dump_path, ChunkPolicy chunk_policy);
+           std::string event_dump_path);
 
   /// The published snapshot; readers' single acquire load.
   std::shared_ptr<const EpochSnapshot> CurrentEpoch() const {
@@ -319,9 +314,6 @@ class IqEngine {
       exporter_;  // iq-lint: allow(unguarded-member)
   /// Dump-on-error target; set once at Create, then immutable.
   std::string event_dump_path_;  // iq-lint: allow(unguarded-member)
-  /// Chunking for engine.solve_batch; set once at Create, then immutable.
-  ChunkPolicy chunk_policy_ =  // iq-lint: allow(unguarded-member)
-      ChunkPolicy::kDynamic;
   /// Round-robin ticket for the Debug-mode sampled-subdomain cross-check.
   uint64_t apply_ticket_ IQ_GUARDED_BY(mu_) = 0;
 };

@@ -186,7 +186,7 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
 
 Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
                                   const ExhaustiveOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
   IQ_ASSIGN_OR_RETURN(HalfspaceSet hs, BuildHalfspaces(ctx, options.iq));
 

@@ -204,14 +204,8 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
       return HitSolution{step, options.cost.Cost(step)};
     }
   }
-  if (!options.thorough_candidates) {
-    return Status::FailedPrecondition(
-        "sequential linearization found no feasible step");
-  }
-  // Fall back to the penalty solver on the true constraint.
-  return MinCostNonlinear(
-      [&](const Vec& s) { return score_at(s) - goal; }, nullptr, options.cost,
-      step_box);
+  return Status::FailedPrecondition(
+      "sequential linearization found no feasible step");
 }
 
 namespace {
@@ -268,7 +262,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
           cand.step_cost = sol->cost;
         }
       },
-      "greedy.candidate_solve", options.chunk_policy);
+      "greedy.candidate_solve");
   out.reserve(slots.size());
   for (Candidate& cand : slots) {
     if (cand.q >= 0) out.push_back(std::move(cand));
@@ -324,7 +318,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
                             cand.hits = evaluator->HitsForCoeffs(c_cand);
                           }
                         },
-                        "greedy.candidate_eval", options.chunk_policy);
+                        "greedy.candidate_eval");
     bd->eval_seconds += eval_timer.ElapsedSeconds();
     bd->candidates_evaluated += out.size();
     SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
@@ -489,7 +483,7 @@ Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
 Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                           double beta, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
   const size_t calls_before = evaluator->calls();
   const size_t rescored_before = evaluator->queries_rescored();
@@ -600,7 +594,7 @@ Result<IqResult> GreedyMinCost(const IqContext& ctx,
 Result<IqResult> GreedyMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
   const size_t calls_before = evaluator->calls();
   const size_t rescored_before = evaluator->queries_rescored();
@@ -732,7 +726,7 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
 Result<IqResult> RandomMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
-  if (beta < 0) return Status::InvalidArgument("budget must be >= 0");
+  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
   WallTimer timer;
   const size_t calls_before = evaluator->calls();
   const size_t rescored_before = evaluator->queries_rescored();

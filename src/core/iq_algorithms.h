@@ -34,11 +34,6 @@ struct IqOptions {
   int candidate_eval_limit = 0;
   /// Sample budget of the Random baseline.
   int random_samples = 256;
-  /// Non-linear utilities only: when the fast sequential-linearization
-  /// candidate solver fails for a query, also try the (much slower) penalty
-  /// solver before declaring the query unreachable. The greedy searches have
-  /// plenty of other candidates, so this defaults to off.
-  bool thorough_candidates = false;
   /// Discrete attributes (paper §3.1: "each dimension can be continuous or
   /// discrete"): when non-empty, the returned strategy is snapped onto the
   /// per-attribute grid (component j a multiple of granularity[j];
@@ -55,11 +50,6 @@ struct IqOptions {
   /// callers driving MinCostIq/MaxHitIq directly may pass any pool whose
   /// lifetime covers the call.
   ThreadPool* pool = nullptr;
-  /// Chunking for the pooled candidate loops. Candidate solve/eval bodies
-  /// are heavy-tailed (PR 7 measured ~140× chunk imbalance on
-  /// greedy.candidate_eval), so work-stealing claims are the default;
-  /// results are bit-identical under either policy (see util/thread_pool.h).
-  ChunkPolicy chunk_policy = ChunkPolicy::kDynamic;
 };
 
 /// Explain-style per-call breakdown of where an IQ search spent its work.

@@ -5,23 +5,6 @@
 
 #include "topk/topk.h"
 
-// Explicit vectorization pragmas for the row-parallel inner loops. The
-// loops are written so each iteration owns an independent accumulator
-// (one dense row's partial sum), so asking the compiler to vectorize
-// across iterations cannot reassociate any single row's sum — the
-// bit-identity contract in score_kernel.h survives IQ_SIMD.
-#if defined(IQ_SIMD)
-#if defined(__clang__)
-#define IQ_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define IQ_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define IQ_SIMD_LOOP
-#endif
-#else
-#define IQ_SIMD_LOOP
-#endif
-
 namespace iq {
 
 ScoreKernel ScoreKernel::Build(const std::vector<Vec>& rows,
@@ -57,7 +40,6 @@ void ScoreKernel::ScoreAll(const Vec& w, std::vector<double>* out) const {
     const double* col =
         data_.data() + static_cast<size_t>(s) * static_cast<size_t>(n);
     const double ws = w[static_cast<size_t>(s)];
-    IQ_SIMD_LOOP
     for (int d = 0; d < n; ++d) o[d] += col[d] * ws;
   }
 }
@@ -100,12 +82,10 @@ int ScoreKernel::CountHits(const Vec& w,
                           static_cast<size_t>(s) * static_cast<size_t>(n) +
                           static_cast<size_t>(base);
       const double ws = w[static_cast<size_t>(s)];
-      IQ_SIMD_LOOP
       for (int d = 0; d < len; ++d) acc[d] += col[d] * ws;
     }
     const double* bth = th + base;
     int block_hits = 0;
-    IQ_SIMD_LOOP
     for (int d = 0; d < len; ++d) {
       block_hits += HitByThreshold(acc[d], bth[d]) ? 1 : 0;
     }

@@ -14,7 +14,7 @@ namespace iq {
 /// in ESE evaluation, top-κ signature ranking). ScoreKernel mirrors the
 /// *active* rows of such a matrix into contiguous per-slot (per-dimension)
 /// columns, so batch scoring becomes plain indexed tight loops the compiler
-/// can vectorize (and, with -DIQ_SIMD=ON, is explicitly asked to).
+/// can vectorize.
 ///
 /// FP-equality contract (verified by tests/kernel_equiv_test.cc): every
 /// kernel accumulates each row's score in ascending slot order — exactly

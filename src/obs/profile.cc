@@ -88,7 +88,6 @@ ProfileReport BuildProfileReport(const std::string& label,
     std::vector<std::pair<uint64_t, uint64_t>> spans;
     int64_t items = 0;
     uint64_t busy = 0;
-    uint64_t claims = 0;
     uint64_t steals = 0;
   };
   std::map<std::string, SiteAccum> sites;
@@ -111,11 +110,11 @@ ProfileReport BuildProfileReport(const std::string& label,
     acc.spans.emplace_back(b, e);
     acc.items += c.arg0;
     acc.busy += e - b;
-    // A chunk with a steals arg is a run of single-item claims
-    // (ChunkPolicy::kDynamic); one without is a single static claim.
-    const bool per_item = c.arg1 != TraceEvent::kNoArg;
-    acc.claims += per_item ? static_cast<uint64_t>(c.arg0) : 1;
-    acc.steals += per_item ? static_cast<uint64_t>(c.arg1) : 0;
+    // Only a run of pooled claims carries a steals arg; inline chunks
+    // (serial, nested, n == 1) leave it unset.
+    if (c.arg1 != TraceEvent::kNoArg) {
+      acc.steals += static_cast<uint64_t>(c.arg1);
+    }
     all_spans.emplace_back(b, e);
     if (busy != nullptr) busy->emplace_back(b, e);
   }
@@ -135,7 +134,6 @@ ProfileReport BuildProfileReport(const std::string& label,
                       ? static_cast<double>(p.max_chunk_nanos) /
                             static_cast<double>(p.median_chunk_nanos)
                       : 1.0;
-    p.claims = acc.claims;
     p.steals = acc.steals;
     r.parallel_sites.push_back(std::move(p));
   }
@@ -205,7 +203,7 @@ std::string ProfileReport::ToJson() const {
         "%s\n    {\"site\": \"%s\", \"calls\": %llu, \"chunks\": %llu, "
         "\"items\": %lld, \"busy_nanos\": %llu, \"site_coverage_nanos\": "
         "%llu, \"median_chunk_nanos\": %llu, \"max_chunk_nanos\": %llu, "
-        "\"imbalance\": %.3f, \"claims\": %llu, \"steals\": %llu}",
+        "\"imbalance\": %.3f, \"steals\": %llu}",
         i == 0 ? "" : ",", JsonEscape(p.site).c_str(),
         static_cast<unsigned long long>(p.calls),
         static_cast<unsigned long long>(p.chunks),
@@ -214,7 +212,6 @@ std::string ProfileReport::ToJson() const {
         static_cast<unsigned long long>(p.coverage_nanos),
         static_cast<unsigned long long>(p.median_chunk_nanos),
         static_cast<unsigned long long>(p.max_chunk_nanos), p.imbalance,
-        static_cast<unsigned long long>(p.claims),
         static_cast<unsigned long long>(p.steals));
   }
   out += parallel_sites.empty() ? "],\n" : "\n  ],\n";
@@ -314,7 +311,6 @@ std::vector<ProfileReport> ParseProfileReports(const std::string& text) {
       p.median_chunk_nanos = JsonFindU64(line, "median_chunk_nanos");
       p.max_chunk_nanos = JsonFindU64(line, "max_chunk_nanos");
       p.imbalance = JsonFindDouble(line, "imbalance");
-      p.claims = JsonFindU64(line, "claims");
       p.steals = JsonFindU64(line, "steals");
       cur->parallel_sites.push_back(std::move(p));
       continue;
@@ -444,9 +440,9 @@ std::string FormatSerializationReport(
             FormatNanos(p.max_chunk_nanos).c_str(),
             FormatNanos(p.median_chunk_nanos).c_str(),
             p.steals > 0
-                ? StrFormat(", %llu/%llu claims stolen",
+                ? StrFormat(", %llu/%lld items stolen",
                             static_cast<unsigned long long>(p.steals),
-                            static_cast<unsigned long long>(p.claims))
+                            static_cast<long long>(p.items))
                       .c_str()
                 : "");
       }

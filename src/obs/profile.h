@@ -54,11 +54,10 @@ struct ParallelSiteReport {
   /// max / median chunk duration; 1.0 = perfectly even, large = one straggler
   /// chunk serializes the call's tail.
   double imbalance = 1.0;
-  /// Work-stealing telemetry (ChunkPolicy::kDynamic sites): individual item
-  /// claims folded into the recorded spans, and how many of those claims
-  /// were beyond the claimant's fair share of the range — work it took off
-  /// an overloaded peer. Static sites report claims == chunks, steals == 0.
-  uint64_t claims = 0;
+  /// Work-stealing telemetry: how many of the site's items were claimed
+  /// beyond the claimant's fair share of the range — work it took off an
+  /// overloaded peer. Every pooled item is claimed on its own, so the claim
+  /// count is `items`; serial and inline chunks never steal.
   uint64_t steals = 0;
 };
 

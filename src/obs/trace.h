@@ -39,16 +39,14 @@
 //    inside a SolveBatch root), so one batch is one trace.
 //
 // Construction of TraceScope / TraceRoot outside this header is banned by
-// iq_lint (direct-trace-record): instrumented code must use the macros so
-// the compile-time gate (IQ_ENABLE_TRACING) keeps working.
+// iq_lint (direct-trace-record): instrumented code uses the macros, so every
+// span site is greppable as one idiom.
 //
-// Two gates keep all of this off the hot path:
-//  * build time — configure with -DIQ_ENABLE_TRACING=OFF and the macros
-//    compile to nothing (the default presets keep it ON);
-//  * run time — collection starts only after SetEnabled(true) (the engine
-//    flips it when EngineOptions::slow_trace_nanos > 0); a disabled scope
-//    costs a single relaxed atomic load
-//    (bench/micro_solver.cc BM_TraceOverheadDisabled gates this).
+// Tracing is always compiled in; one run-time gate keeps it off the hot
+// path: collection starts only after SetEnabled(true) (the engine flips it
+// when EngineOptions::slow_trace_nanos > 0), and a disabled scope costs a
+// single relaxed atomic load (bench/micro_solver.cc
+// BM_TraceOverheadDisabled gates this).
 
 namespace iq {
 
@@ -335,18 +333,8 @@ class TraceRoot {
   bool erred_ = false;
 };
 
-/// Compiled-out stand-in for TraceRoot: same surface, no code.
-struct NoopTraceRoot {
-  explicit NoopTraceRoot(const char* /*op*/, int64_t /*arg0*/ = 0,
-                         int64_t /*arg1*/ = 0) {}
-  void NoteError() {}
-  uint64_t trace_id() const { return 0; }
-  bool owns_trace() const { return false; }
-};
-
 }  // namespace iq
 
-#if defined(IQ_TRACING_ENABLED)
 #define IQ_TRACE_CONCAT2_(a, b) a##b
 #define IQ_TRACE_CONCAT_(a, b) IQ_TRACE_CONCAT2_(a, b)
 #define IQ_TRACE_SCOPE(name) \
@@ -362,11 +350,5 @@ struct NoopTraceRoot {
 /// NoteError() / trace_id().
 #define IQ_TRACE_ROOT_SCOPE(var, op, ...) \
   ::iq::TraceRoot var(op __VA_OPT__(, ) __VA_ARGS__)
-#else
-#define IQ_TRACE_SCOPE(name) static_cast<void>(0)
-#define IQ_TRACE_SCOPE_ARG(name, a0) static_cast<void>(0)
-#define IQ_TRACE_SCOPE_ARG2(name, a0, a1) static_cast<void>(0)
-#define IQ_TRACE_ROOT_SCOPE(var, op, ...) ::iq::NoopTraceRoot var(op)
-#endif
 
 #endif  // IQ_OBS_TRACE_H_

@@ -56,7 +56,7 @@ class PoolSpan {
   PoolSpan(const PoolSpan&) = delete;
   PoolSpan& operator=(const PoolSpan&) = delete;
 
-  /// Folds one dynamically claimed item into the span.
+  /// Folds one claimed item into the span.
   void AddClaim(bool stolen) {
     ++event_.arg0;
     event_.arg1 += stolen ? 1 : 0;
@@ -123,7 +123,7 @@ void ThreadPool::WorkerLoop() {
 
 namespace {
 
-/// Shared per-call coordination state for ParallelFor (both policies).
+/// Shared per-call coordination state for ParallelFor.
 struct CallState {
   std::atomic<int64_t> next{0};
   std::atomic<bool> failed{false};
@@ -140,24 +140,24 @@ void CaptureError(CallState* state) {
   state->failed.store(true, std::memory_order_release);
 }
 
-/// Recorded dynamic spans aggregate consecutive claimed items until the
+/// Recorded chunk spans aggregate consecutive claimed items until the
 /// span covers at least this much wall time. This keeps the profile's
 /// span-duration distribution describing *scheduling* granularity rather
 /// than per-item cost spread: a run of cheap items folds into one
 /// target-sized span while an expensive item still stands alone, so
 /// max/median chunk imbalance collapses exactly when stealing fixed the
 /// straggler problem (tests/profile_test.cc asserts this).
-constexpr uint64_t kDynamicSpanTargetNanos = 200 * 1000;  // 200 µs
+constexpr uint64_t kSpanTargetNanos = 200 * 1000;  // 200 µs
 
-/// The per-item work-stealing claim loop (ChunkPolicy::kDynamic). Every
-/// participant pulls single indices off `state->next`; once a participant
-/// has executed its fair share of the range, ceil(n / participants),
-/// further claims are counted as steals — items a statically partitioned
-/// run would have left to a (still busy) peer. Returns the items executed.
-int64_t RunDynamicClaims(CallState* state,
-                         const std::function<void(int64_t, int64_t)>& body,
-                         int64_t n, int64_t fair_share, const char* site,
-                         bool capture) {
+/// The per-item work-stealing claim loop. Every participant pulls single
+/// indices off `state->next`; once a participant has executed its fair
+/// share of the range, ceil(n / participants), further claims are counted
+/// as steals — items an even split would have left to a (still busy) peer.
+/// Returns the items executed.
+int64_t RunClaims(CallState* state,
+                  const std::function<void(int64_t, int64_t)>& body,
+                  int64_t n, int64_t fair_share, const char* site,
+                  bool capture) {
   int64_t executed = 0;
   std::optional<PoolSpan> span;  // the current run of claims (capture only)
   for (;;) {
@@ -176,7 +176,7 @@ int64_t RunDynamicClaims(CallState* state,
     ++executed;
     if (span) {
       span->AddClaim(stolen);
-      if (!ok || span->ElapsedNanos() >= kDynamicSpanTargetNanos) span.reset();
+      if (!ok || span->ElapsedNanos() >= kSpanTargetNanos) span.reset();
     }
     if (!ok) break;
   }
@@ -187,7 +187,7 @@ int64_t RunDynamicClaims(CallState* state,
 
 void ThreadPool::ParallelFor(
     int64_t n, const std::function<void(int64_t, int64_t)>& body,
-    const char* site, ChunkPolicy policy) {
+    const char* site) {
   if (n <= 0) return;
   if (t_in_pool_worker || n == 1) {
     // Nested or trivial: run inline on the current thread. Still spans —
@@ -196,13 +196,7 @@ void ThreadPool::ParallelFor(
     return;
   }
   const int64_t workers = static_cast<int64_t>(workers_.size());
-  // Deterministic partition: chunk size depends only on n and the worker
-  // count. Over-decompose (4 chunks per participant) so an unlucky slow
-  // chunk cannot serialize the whole call. Under kDynamic the claim unit is
-  // a single index instead; `chunk` only sizes the static path.
-  const int64_t chunk =
-      std::max<int64_t>(1, n / (4 * (workers + 1)) + 1);
-  // Steal threshold for kDynamic: a participant's fair share of the range.
+  // Steal threshold: a participant's fair share of the range.
   const int64_t fair_share = (n + workers) / (workers + 1);
 
   CallState state;
@@ -221,34 +215,13 @@ void ThreadPool::ParallelFor(
   // the serial fallback and the nested-inline path all run on a thread that
   // already holds the context, so only the enqueued tasks need the handoff.
   const TraceContext dispatch_ctx = CurrentTraceContext();
-  // Runs chunks until the range drains; returns the items executed.
-  auto run_chunks = [&state, &body, n, chunk, fair_share, site, capture,
-                     policy]() -> int64_t {
-    if (policy == ChunkPolicy::kDynamic) {
-      return RunDynamicClaims(&state, body, n, fair_share, site, capture);
-    }
-    int64_t executed = 0;
-    for (;;) {
-      int64_t begin = state.next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) return executed;
-      if (state.failed.load(std::memory_order_acquire)) return executed;
-      int64_t end = std::min<int64_t>(n, begin + chunk);
-      executed += end - begin;
-      try {
-        std::optional<PoolSpan> span;
-        if (capture) span.emplace(site, SpanKind::kChunk, end - begin);
-        body(begin, end);
-      } catch (...) {
-        CaptureError(&state);
-      }
-    }
+  // Claims items until the range drains; returns the items executed.
+  auto run_claims = [&state, &body, n, fair_share, site, capture]() {
+    return RunClaims(&state, body, n, fair_share, site, capture);
   };
 
-  // One helper task per worker; each claims chunks (kStatic) or single
-  // items (kDynamic) until the range drains.
-  const int64_t claim_unit = policy == ChunkPolicy::kDynamic ? 1 : chunk;
-  const int64_t helpers =
-      std::min<int64_t>(workers, (n + claim_unit - 1) / claim_unit);
+  // One helper task per worker (never more than the items to claim).
+  const int64_t helpers = std::min<int64_t>(workers, n);
   {
     MutexLock done(&state.done_mu);
     state.pending = static_cast<int>(helpers);
@@ -257,15 +230,15 @@ void ThreadPool::ParallelFor(
     MutexLock lock(&mu_);
     for (int64_t i = 0; i < helpers; ++i) {
       queue_.emplace_back(
-          [&state, &run_chunks, dispatch_ctx, capture, site,
+          [&state, &run_claims, dispatch_ctx, capture, site,
            timer = WallTimer()] {
             const TaskObserver* observer =
                 g_task_observer.load(std::memory_order_acquire);
             if (observer != nullptr) observer->on_task(timer.ElapsedNanos());
-            // run_chunks never throws (chunk exceptions are captured into
+            // run_claims never throws (item exceptions are captured into
             // state.error), so the restore cannot be skipped.
             const TraceContext saved = ExchangeTraceContext(dispatch_ctx);
-            if (run_chunks() == 0 && capture) {
+            if (run_claims() == 0 && capture) {
               // The range drained before this worker got to it: an empty
               // chunk span still records that it took part (and was idle).
               PoolSpan empty(site, SpanKind::kChunk, 0);
@@ -278,7 +251,7 @@ void ThreadPool::ParallelFor(
   }
   work_cv_.NotifyAll();
 
-  run_chunks();  // the caller participates
+  run_claims();  // the caller participates
   {
     MutexLock done(&state.done_mu);
     while (state.pending != 0) state.done_cv.Wait(state.done_mu);
@@ -295,13 +268,13 @@ void ThreadPool::ParallelFor(
 
 void ParallelForOrSerial(ThreadPool* pool, int64_t n,
                          const std::function<void(int64_t, int64_t)>& body,
-                         const char* site, ChunkPolicy policy) {
+                         const char* site) {
   if (n <= 0) return;
   if (pool == nullptr) {
     RunInline(body, n, site);
     return;
   }
-  pool->ParallelFor(n, body, site, policy);
+  pool->ParallelFor(n, body, site);
 }
 
 }  // namespace iq

@@ -13,36 +13,22 @@
 
 namespace iq {
 
-/// How ParallelFor partitions [0, n) across participants (DESIGN.md §13).
-///
-///   kStatic  — fixed-size chunks (n and the worker count alone determine
-///              the boundaries). Lowest claim overhead; heavy-tailed bodies
-///              can strand one participant with the expensive chunk while
-///              the rest idle (the ~140× chunk imbalance PR 7 measured on
-///              greedy.candidate_eval).
-///   kDynamic — work-stealing via per-item claiming on a shared atomic
-///              counter: every participant pulls one index at a time, so a
-///              participant stuck on an expensive item simply stops
-///              claiming and its remaining share is stolen by the others.
-///              Steal counts surface as an arg of the chunk spans.
-///
-/// Both policies satisfy the same determinism contract (below): bodies
-/// write per-index slots, so results are bit-identical under any claim
-/// order. Policy choice is purely a latency/imbalance trade.
-enum class ChunkPolicy { kStatic, kDynamic };
-
 /// Fixed-size worker pool backing the parallel execution layer (DESIGN.md
 /// §8). Dependency-free: std::thread workers around a single locked task
 /// queue. The pool is deliberately simple — the engine's parallel units
 /// (candidate evaluation, signature ranking, batch IQ solving) are coarse
 /// enough that queue contention is negligible next to the work itself.
 ///
-/// Determinism contract: ParallelFor partitions [0, n) into chunks (or,
-/// under ChunkPolicy::kDynamic, individually claimed indices) and callers
-/// write results into per-index slots, so every reduction downstream of a
-/// ParallelFor is independent of scheduling and of the chunk policy. The
-/// serial fallback (a null pool, see ParallelForOrSerial) executes the
-/// identical per-index code.
+/// Scheduling (DESIGN.md §13.1): every participant — the caller and one
+/// helper task per worker — claims single indices off a shared atomic
+/// counter until the range drains. A participant stuck on an expensive item
+/// simply stops claiming and its remaining share is taken by the others;
+/// claims beyond a participant's fair share are counted as steals.
+///
+/// Determinism contract: callers write results into per-index slots, so
+/// every reduction downstream of a ParallelFor is independent of which
+/// participant claimed which index. The serial fallback (a null pool, see
+/// ParallelForOrSerial) executes the identical per-index code.
 ///
 /// Nested parallelism: a ParallelFor issued from inside a pool worker runs
 /// inline on that worker instead of re-entering the queue, so composed
@@ -52,17 +38,17 @@ enum class ChunkPolicy { kStatic, kDynamic };
 /// Trace-context propagation (DESIGN.md §14): ParallelFor captures the
 /// dispatching thread's util/trace_context.h slot and installs it around
 /// every chunk body it hands to a worker (save/restore per helper task), so
-/// spans opened inside chunks — static, dynamic work-stealing, the serial
-/// fallback and the nested-inline path alike — carry the dispatching
-/// solve's trace id and parent under the dispatching span.
+/// spans opened inside chunks — pooled claims, the serial fallback and the
+/// nested-inline path alike — carry the dispatching solve's trace id and
+/// parent under the dispatching span.
 ///
 /// Pool spans (DESIGN.md §11, §14): while profiling is on (util/prof.h) or
 /// a trace is in flight on the dispatching thread, every call records one
 /// SpanKind::kParallelFor span named by its `site`, parenting one kChunk
-/// span per executed chunk (a static chunk, a run of dynamic claims, or the
-/// single inline chunk of the serial / nested / n == 1 paths), plus an
-/// empty chunk span from each worker that found the range drained. They reach
-/// the trace rings through the TaskObserver seam. Observation only: no body
+/// span per executed chunk (a run of claims, or the single inline chunk of
+/// the serial / nested / n == 1 paths), plus an empty chunk span from each
+/// worker that found the range drained. They reach the trace rings through
+/// the TaskObserver seam. Observation only: no body
 /// reads the context or the spans, so the determinism contract holds with
 /// tracing and profiling on or off.
 class ThreadPool {
@@ -76,20 +62,17 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs body(begin, end) over disjoint chunks covering [0, n); the calling
-  /// thread works alongside the pool and the call returns only when every
-  /// chunk completed. The first exception thrown by any chunk is captured
-  /// and rethrown on the caller (remaining chunks are drained, not run).
-  /// Called from a pool worker, runs body(0, n) inline (see class comment).
-  /// `site` names the call's spans — a static string like
+  /// Runs body(i, i + 1) for every i in [0, n); the calling thread works
+  /// alongside the pool and the call returns only when every item
+  /// completed. The first exception thrown by any item is captured and
+  /// rethrown on the caller (remaining items are drained, not run). Called
+  /// from a pool worker or with n == 1, runs body(0, n) inline (see class
+  /// comment). `site` names the call's spans — a static string like
   /// "greedy.candidate_solve"; pass nullptr for unattributed call sites
-  /// (tests). `policy` selects static chunking or per-item
-  /// work-stealing claims (see ChunkPolicy); results are bit-identical
-  /// either way.
+  /// (tests).
   void ParallelFor(int64_t n,
                    const std::function<void(int64_t, int64_t)>& body,
-                   const char* site = nullptr,
-                   ChunkPolicy policy = ChunkPolicy::kStatic);
+                   const char* site = nullptr);
 
   /// True when the current thread is a worker of any ThreadPool.
   static bool InWorker();
@@ -133,8 +116,7 @@ class ThreadPool {
 /// serial trace still splits into its ParallelFor layers.
 void ParallelForOrSerial(ThreadPool* pool, int64_t n,
                          const std::function<void(int64_t, int64_t)>& body,
-                         const char* site = nullptr,
-                         ChunkPolicy policy = ChunkPolicy::kStatic);
+                         const char* site = nullptr);
 
 }  // namespace iq
 

@@ -36,9 +36,9 @@ struct TraceContext {
 /// What recorded a span. IQ_TRACE_SCOPE and IQ_TRACE_ROOT_SCOPE record
 /// kScope. ThreadPool::ParallelFor records one kParallelFor span per call
 /// (arg0 = the call's item count) that parents one kChunk span per
-/// executed chunk (arg0 = items in the chunk). A chunk claimed item by item
-/// (ChunkPolicy::kDynamic) also sets arg1 = its steals: items claimed after
-/// its participant had run its fair share of the range. A pool worker that
+/// executed chunk (arg0 = items in the chunk). A run of pooled claims also
+/// sets arg1 = its steals: items claimed after its participant had run its
+/// fair share of the range. A pool worker that
 /// found the range already drained records one empty chunk (arg0 = 0).
 enum class SpanKind : uint8_t { kScope, kParallelFor, kChunk };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/combinatorial.h"
 #include "core/evaluator.h"
 #include "tests/test_world.h"
@@ -113,6 +115,10 @@ TEST(CombinatorialTest, ErrorPaths) {
                                                    IqOptions{}})
           .ok());
   EXPECT_FALSE(CombinatorialMaxHitIq(*w.index, {0}, -0.5, {IqOptions{}}).ok());
+  EXPECT_FALSE(CombinatorialMaxHitIq(*w.index, {0},
+                                     std::numeric_limits<double>::quiet_NaN(),
+                                     {IqOptions{}})
+                   .ok());
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/engine.h"
 #include "data/queries.h"
 #include "data/synthetic.h"
@@ -97,6 +99,56 @@ TEST(EngineTest, LiveMaintenance) {
   ASSERT_TRUE(engine->RemoveObject(*oid).ok());
   EXPECT_FALSE(engine->RemoveObject(*oid).ok());
   EXPECT_FALSE(engine->AddObject({0.1}).ok());  // wrong dim
+}
+
+TEST(EngineTest, RejectsNonFiniteInputs) {
+  // A non-finite number must come back as InvalidArgument at the public
+  // entry, before it reaches the index or the solvers: an infinite query
+  // weight used to abort the process in the candidate box setup, and a NaN
+  // one was accepted silently.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto expect_invalid = [](const Status& st) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  };
+  for (double bad : {inf, -inf, nan}) {
+    SCOPED_TRACE(testing::Message() << "value " << bad);
+    QueryGenOptions qopts;
+    qopts.k_max = 5;
+    std::vector<TopKQuery> queries = MakeQueries(20, 3, 81, qopts);
+    queries[3].weights[1] = bad;
+    auto created = IqEngine::Create(MakeIndependent(30, 3, 80),
+                                    LinearForm::Identity(3),
+                                    std::move(queries));
+    expect_invalid(created.status());
+    // Were the engine built, a goal of all 20 queries would drive the greedy
+    // search through query 3's non-finite candidate step — the path that
+    // aborted the process before Create checked its inputs.
+    if (created.ok()) {
+      EXPECT_FALSE(created->MinCost(0, 20).ok());
+    }
+
+    Dataset data = MakeIndependent(30, 3, 80);
+    data.Add({0.5, bad, 0.5});
+    expect_invalid(IqEngine::Create(std::move(data), LinearForm::Identity(3),
+                                    MakeQueries(20, 3, 81, qopts))
+                       .status());
+
+    auto engine = MakeEngine(30, 20, 3, 80);
+    ASSERT_TRUE(engine.ok());
+    const uint64_t epoch = engine->Snapshot().epoch();
+    expect_invalid(engine->AddQuery({2, {0.5, bad, 0.1}}).status());
+    expect_invalid(engine->AddObject({bad, 0.2, 0.3}).status());
+    expect_invalid(engine->ApplyStrategy(0, {0.0, bad, 0.0}));
+    // Rejected writes publish nothing.
+    EXPECT_EQ(engine->Snapshot().epoch(), epoch);
+  }
+  // A finite strategy that overflows the attribute is rejected too.
+  auto engine = MakeEngine(30, 20, 3, 80);
+  ASSERT_TRUE(engine.ok());
+  const double big = std::numeric_limits<double>::max();
+  ASSERT_TRUE(engine->ApplyStrategy(0, {big, 0.0, 0.0}).ok());
+  expect_invalid(engine->ApplyStrategy(0, {big, 0.0, 0.0}));
 }
 
 TEST(EngineTest, MultiTargetThroughEngine) {

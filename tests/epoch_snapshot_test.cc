@@ -339,6 +339,10 @@ TEST(EpochSnapshotTest, DifferentialOracleTwoWorkers) {
   RunDifferentialTrial(/*num_threads=*/2, /*seed=*/20260809);
 }
 
+TEST(EpochSnapshotTest, DifferentialOracleFourWorkers) {
+  RunDifferentialTrial(/*num_threads=*/4, /*seed=*/20260811);
+}
+
 TEST(EpochSnapshotTest, DifferentialOracleEightWorkers) {
   RunDifferentialTrial(/*num_threads=*/8, /*seed=*/20260810);
 }

@@ -158,8 +158,6 @@ TEST(ExporterTest, EngineOwnedExporterServesEngineMetrics) {
   EXPECT_NE(body->find("iq_index_"), std::string::npos);
 }
 
-#if defined(IQ_TRACING_ENABLED)
-
 TEST(ExporterTest, TracezServesRetainedTracesAndSingleTraceExport) {
   Dataset data = MakeIndependent(24, 3, 91);
   QueryGenOptions qopts;
@@ -201,8 +199,6 @@ TEST(ExporterTest, TracezServesRetainedTracesAndSingleTraceExport) {
   tc.Clear();
   tc.ClearRetained();
 }
-
-#endif  // IQ_TRACING_ENABLED
 
 }  // namespace
 }  // namespace iq

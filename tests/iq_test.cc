@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/evaluator.h"
+#include "core/exhaustive.h"
 #include "core/iq_algorithms.h"
 #include "tests/test_world.h"
 #include "util/random.h"
@@ -170,6 +172,17 @@ TEST(MaxHitIqTest, ZeroBudgetMeansZeroStrategy) {
   EXPECT_EQ(r->cost, 0.0);
   EXPECT_EQ(r->hits_after, r->hits_before);
   EXPECT_FALSE(MaxHitIq(*ctx, &ese, -1.0).ok());
+  // NaN fails every comparison, so a `beta < 0` guard would let it through
+  // as a zero budget; every Max-Hit scheme must reject it instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(MaxHitIq(*ctx, &ese, nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GreedyMaxHit(*ctx, &ese, nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RandomMaxHit(*ctx, &ese, nan).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ExhaustiveMaxHit(*ctx, nan).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MaxHitIqTest, LargerBudgetNeverHurts) {

@@ -7,9 +7,9 @@
 // randomized differential sweep: 1000 random worlds across dims 2-10,
 // diffing raw scores, top-κ signatures, hit sets and the ESE
 // rescored/reused work split between the kernel path and the scalar
-// fallback, plus the same searches across pools of 0/1/2/8 threads. CI
-// runs the suite with IQ_SIMD both ON and OFF (and under ASan/TSan) — the
-// assertions are exact equality either way.
+// fallback, plus the same searches across pools of 0/1/2/4/8 threads. CI
+// runs the suite in every lane (and under ASan/TSan) — the assertions are
+// exact equality.
 //
 // The FP-order contract tests at the bottom pin down *why* exactness is
 // required: with catastrophic-cancellation rows a reassociated sum gives a
@@ -235,7 +235,7 @@ TEST(KernelEquivTest, SignatureRankingIdenticalAcrossLifecycle) {
 }
 
 // ---------------------------------------------------------------------------
-// Full searches: kernel-backed ESE across thread counts 0/1/2/8
+// Full searches: kernel-backed ESE across thread counts 0/1/2/4/8
 // ---------------------------------------------------------------------------
 
 void ExpectIdenticalIqResults(const IqResult& a, const IqResult& b) {
@@ -253,8 +253,8 @@ void ExpectIdenticalIqResults(const IqResult& a, const IqResult& b) {
 
 TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
   Rng rng(9999);
-  ThreadPool pool1(1), pool2(2), pool8(8);
-  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool8};
+  ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool4, &pool8};
   for (int trial = 0; trial < 9; ++trial) {
     const int dim = 2 + trial % 9;
     const int n = static_cast<int>(rng.UniformInt(16, 48));
@@ -271,15 +271,12 @@ TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
 
     std::vector<IqResult> results;
     for (ThreadPool* pool : pools) {
-      for (ChunkPolicy policy : {ChunkPolicy::kStatic, ChunkPolicy::kDynamic}) {
-        IqOptions options;
-        options.pool = pool;
-        options.chunk_policy = policy;
-        EseEvaluator ese(w.index.get(), target);
-        auto mc = MinCostIq(*ctx, &ese, tau, options);
-        ASSERT_TRUE(mc.ok()) << mc.status().ToString();
-        results.push_back(*std::move(mc));
-      }
+      IqOptions options;
+      options.pool = pool;
+      EseEvaluator ese(w.index.get(), target);
+      auto mc = MinCostIq(*ctx, &ese, tau, options);
+      ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+      results.push_back(*std::move(mc));
     }
     for (size_t i = 1; i < results.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "variant " << i);

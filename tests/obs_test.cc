@@ -201,8 +201,6 @@ TEST(PercentileTrackerTest, MergeCombinesSamples) {
   EXPECT_DOUBLE_EQ(a.Percentile(50), 50.5);
 }
 
-#if defined(IQ_TRACING_ENABLED)
-
 TEST(TraceTest, DisabledRecordsNothing) {
   TraceCollector& tc = TraceCollector::Global();
   tc.Clear();
@@ -300,8 +298,6 @@ TEST(TraceTest, FlatExportCarriesThreadMetadataAndCausalArgs) {
   tc.Clear();
   tc.ClearRetained();  // the root above may have been retained
 }
-
-#endif  // IQ_TRACING_ENABLED
 
 // ---- Engine-level counters on a known workload ----
 

@@ -5,10 +5,10 @@
 // IqEngine::SolveBatch) produces results *byte-identical* to the serial path
 // for every thread count. These tests enforce the contract by running
 // randomized small workloads through pools of 0 (null = serial fallback),
-// 1, 2 and 8 threads and diffing everything observable — strategies, costs,
-// hit counts, iteration counts and the EvalBreakdown work counters — plus an
-// independent brute-force hit recount and (on tiny workloads) the exhaustive
-// optimum as an outside-the-implementation oracle.
+// 1, 2, 4 and 8 threads and diffing everything observable — strategies,
+// costs, hit counts, iteration counts and the EvalBreakdown work counters —
+// plus an independent brute-force hit recount and (on tiny workloads) the
+// exhaustive optimum as an outside-the-implementation oracle.
 
 #include <gtest/gtest.h>
 
@@ -53,8 +53,8 @@ TEST(ThreadPoolTest, EveryIndexVisitedExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, DynamicClaimsVisitEveryIndexExactlyOnceHeavyTailed) {
-  // Work-stealing correctness under the workload it exists for: a heavy
-  // head (items 0..7 spin ~1000x longer than the tail) forces the fast
+  // Per-item claiming under the workload it exists for: a heavy head
+  // (items 0..7 spin ~1000x longer than the tail) forces the fast
   // participants past their fair share, so claims beyond it — steals — must
   // happen, and still every index runs exactly once.
   ThreadPool pool(4);
@@ -73,47 +73,22 @@ TEST(ThreadPoolTest, DynamicClaimsVisitEveryIndexExactlyOnceHeavyTailed) {
                                                    std::memory_order_relaxed);
         }
       },
-      "test.dynamic_exactly_once", ChunkPolicy::kDynamic);
+      "test.dynamic_exactly_once");
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[static_cast<size_t>(i)].load(), 1) << "index " << i;
   }
 }
 
-TEST(ThreadPoolTest, DynamicPolicyPropagatesExceptionsAndPoolSurvives) {
-  ThreadPool pool(3);
-  EXPECT_THROW(pool.ParallelFor(
-                   1000,
-                   [&](int64_t begin, int64_t) {
-                     if (begin == 500) throw std::runtime_error("boom");
-                   },
-                   "test.dynamic_throw", ChunkPolicy::kDynamic),
-               std::runtime_error);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(
-      100,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          sum.fetch_add(i, std::memory_order_relaxed);
-        }
-      },
-      "test.dynamic_recover", ChunkPolicy::kDynamic);
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
-}
-
-TEST(ThreadPoolTest, DynamicPolicySerialAndInlinePathsUnaffected) {
-  // Null pool and n==1 take the serial/inline shortcuts for either policy.
-  std::vector<std::pair<int64_t, int64_t>> ranges;
-  ParallelForOrSerial(
-      nullptr, 17,
-      [&](int64_t begin, int64_t end) { ranges.emplace_back(begin, end); },
-      nullptr, ChunkPolicy::kDynamic);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].first, 0);
-  EXPECT_EQ(ranges[0].second, 17);
+TEST(ThreadPoolTest, SingleItemRunsInlineOnCaller) {
+  // n == 1 takes the inline shortcut: one body call, on the caller.
   ThreadPool pool(2);
   int calls = 0;
-  pool.ParallelFor(
-      1, [&](int64_t, int64_t) { ++calls; }, nullptr, ChunkPolicy::kDynamic);
+  pool.ParallelFor(1, [&](int64_t begin, int64_t end) {
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, 1);
+    EXPECT_FALSE(ThreadPool::InWorker());
+    ++calls;
+  });
   EXPECT_EQ(calls, 1);
 }
 
@@ -148,6 +123,8 @@ TEST(ThreadPoolTest, NullPoolRunsSerialInline) {
 
 TEST(ThreadPoolTest, ExceptionPropagatesToCallerAndPoolSurvives) {
   ThreadPool pool(3);
+  // Every item from 500 on throws; the first capture wins, later claims
+  // stop, and the caller sees one rethrow.
   EXPECT_THROW(
       pool.ParallelFor(1000,
                        [&](int64_t begin, int64_t) {
@@ -216,10 +193,10 @@ void ExpectIdenticalResults(const IqResult& a, const IqResult& b,
 
 TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
   // Randomized sweep: world shapes drawn from a seeded Rng, results compared
-  // across num_threads in {0 (serial fallback), 1, 2, 8}.
+  // across num_threads in {0 (serial fallback), 1, 2, 4, 8}.
   Rng rng(20260806);
-  ThreadPool pool1(1), pool2(2), pool8(8);
-  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool8};
+  ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
+  ThreadPool* pools[] = {nullptr, &pool1, &pool2, &pool4, &pool8};
   for (int trial = 0; trial < 6; ++trial) {
     const int n = static_cast<int>(rng.UniformInt(16, 64));
     const int m = static_cast<int>(rng.UniformInt(8, 32));
@@ -234,22 +211,16 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
 
     std::vector<IqResult> min_cost, max_hit;
     for (ThreadPool* pool : pools) {
-      // Both chunk policies per pool: work-stealing claims must reproduce
-      // the static-chunk (and serial) results byte for byte.
-      for (ChunkPolicy policy :
-           {ChunkPolicy::kStatic, ChunkPolicy::kDynamic}) {
-        IqOptions options;
-        options.pool = pool;
-        options.chunk_policy = policy;
-        EseEvaluator ese(w.index.get(), target);
-        auto mc = MinCostIq(*ctx, &ese, tau, options);
-        ASSERT_TRUE(mc.ok()) << mc.status().ToString();
-        min_cost.push_back(*std::move(mc));
-        EseEvaluator ese2(w.index.get(), target);
-        auto mh = MaxHitIq(*ctx, &ese2, beta, options);
-        ASSERT_TRUE(mh.ok()) << mh.status().ToString();
-        max_hit.push_back(*std::move(mh));
-      }
+      IqOptions options;
+      options.pool = pool;
+      EseEvaluator ese(w.index.get(), target);
+      auto mc = MinCostIq(*ctx, &ese, tau, options);
+      ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+      min_cost.push_back(*std::move(mc));
+      EseEvaluator ese2(w.index.get(), target);
+      auto mh = MaxHitIq(*ctx, &ese2, beta, options);
+      ASSERT_TRUE(mh.ok()) << mh.status().ToString();
+      max_hit.push_back(*std::move(mh));
     }
     for (size_t i = 1; i < min_cost.size(); ++i) {
       SCOPED_TRACE(testing::Message()
@@ -312,7 +283,7 @@ TEST(ParallelDiffTest, GreedyNeverBeatsExhaustiveOnTinyWorlds) {
 
 TEST(ParallelDiffTest, IndexBuildIdenticalAcrossThreadCounts) {
   Rng rng(77);
-  ThreadPool pool2(2), pool8(8);
+  ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
   for (int trial = 0; trial < 4; ++trial) {
     const int n = static_cast<int>(rng.UniformInt(16, 64));
     const int m = static_cast<int>(rng.UniformInt(8, 32));
@@ -322,7 +293,7 @@ TEST(ParallelDiffTest, IndexBuildIdenticalAcrossThreadCounts) {
 
     auto serial = SubdomainIndex::Build(w.view.get(), w.queries.get());
     ASSERT_TRUE(serial.ok());
-    for (ThreadPool* pool : {&pool2, &pool8}) {
+    for (ThreadPool* pool : {&pool1, &pool2, &pool4, &pool8}) {
       SubdomainIndexOptions options;
       options.pool = pool;
       auto parallel =
@@ -382,14 +353,12 @@ TEST(ParallelDiffTest, ParallelMaintenanceMatchesSerialRebuild) {
 // ---------------------------------------------------------------------------
 
 Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed,
-                            int num_threads,
-                            ChunkPolicy chunk_policy = ChunkPolicy::kDynamic) {
+                            int num_threads) {
   Dataset data = MakeIndependent(n, dim, seed);
   QueryGenOptions qopts;
   qopts.k_max = 5;
   EngineOptions options;
   options.num_threads = num_threads;
-  options.chunk_policy = chunk_policy;
   return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
                           MakeQueries(m, dim, seed + 1, qopts), options);
 }
@@ -415,7 +384,7 @@ TEST(ParallelDiffTest, SolveBatchIdenticalAcrossThreadCounts) {
   constexpr int kN = 40, kM = 24;
   const std::vector<BatchItem> items = MakeBatch(kN, kM);
   std::vector<std::vector<IqResult>> per_engine;
-  for (int num_threads : {0, 1, 2, 8}) {
+  for (int num_threads : {0, 1, 2, 4, 8}) {
     auto engine = MakeEngine(kN, kM, 3, 2026, num_threads);
     ASSERT_TRUE(engine.ok());
     auto batch = engine->SolveBatch(items);
@@ -427,39 +396,6 @@ TEST(ParallelDiffTest, SolveBatchIdenticalAcrossThreadCounts) {
     for (size_t i = 0; i < items.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "engine #" << e << " item " << i);
       ExpectIdenticalResults(per_engine[0][i], per_engine[e][i], "SolveBatch");
-    }
-  }
-}
-
-TEST(ParallelDiffTest, SolveBatchIdenticalAcrossChunkPolicies) {
-  // engine.solve_batch under work-stealing claims vs static chunks vs
-  // serial: every observable, including the EvalBreakdown work counters,
-  // must be byte-identical — the per-index-slot results plus the serial
-  // index-order reduction make the claim order invisible.
-  constexpr int kN = 40, kM = 24;
-  const std::vector<BatchItem> items = MakeBatch(kN, kM);
-  std::vector<std::vector<IqResult>> per_config;
-  struct Config {
-    int num_threads;
-    ChunkPolicy policy;
-  };
-  const Config configs[] = {{0, ChunkPolicy::kStatic},
-                            {4, ChunkPolicy::kStatic},
-                            {4, ChunkPolicy::kDynamic},
-                            {8, ChunkPolicy::kDynamic}};
-  for (const Config& config : configs) {
-    auto engine = MakeEngine(kN, kM, 3, 8888, config.num_threads,
-                             config.policy);
-    ASSERT_TRUE(engine.ok());
-    auto batch = engine->SolveBatch(items);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    per_config.push_back(*std::move(batch));
-  }
-  for (size_t e = 1; e < per_config.size(); ++e) {
-    for (size_t i = 0; i < items.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "config #" << e << " item " << i);
-      ExpectIdenticalResults(per_config[0][i], per_config[e][i],
-                             "SolveBatch policy");
     }
   }
 }
@@ -628,11 +564,9 @@ TEST(ParallelDiffTest, SolveBatchIdenticalWithTracingOnAndOff) {
       ExpectIdenticalResults((*baseline)[i], (*traced_batch)[i], "tracing");
     }
   }
-#if defined(IQ_TRACING_ENABLED)
   TraceCollector::Global().SetEnabled(false);
   TraceCollector::Global().Clear();
   TraceCollector::Global().ClearRetained();
-#endif
 }
 
 TEST(ParallelDiffTest, MovedEngineKeepsPoolAndSolves) {

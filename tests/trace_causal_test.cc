@@ -29,8 +29,6 @@
 #include "util/thread_pool.h"
 #include "util/trace_context.h"
 
-#if defined(IQ_TRACING_ENABLED)
-
 namespace iq {
 namespace {
 
@@ -204,60 +202,53 @@ TEST(TraceCausalTest, ManualContextHandoffLinksAnotherThread) {
 }
 
 TEST(TraceCausalTest, ParallelForChunksJoinTheDispatchersTrace) {
-  // All four execution paths of ParallelFor carry the context: static
-  // chunks, dynamic work-stealing claims, serial fallback (null pool), and
-  // nested-inline (ParallelFor from inside a worker).
+  // All three execution paths of ParallelFor carry the context: pooled
+  // per-item claims, serial fallback (null pool), and nested-inline
+  // (ParallelFor from inside a worker).
   ScopedTracing tracing(RetainAll());
   ThreadPool pool(4);
   constexpr int64_t kN = 64;
-  for (ChunkPolicy policy : {ChunkPolicy::kStatic, ChunkPolicy::kDynamic}) {
-    SCOPED_TRACE(policy == ChunkPolicy::kStatic ? "static" : "dynamic");
-    TraceCollector::Global().ClearRetained();
-    TraceCollector::Global().Clear();
-    {
-      IQ_TRACE_ROOT_SCOPE(root, "test.fanout");
-      pool.ParallelFor(
-          kN,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-              IQ_TRACE_SCOPE_ARG("test.chunk_item", i);
-              // Enough work per item that several workers claim chunks.
-              volatile uint64_t acc = static_cast<uint64_t>(i);
-              for (int s = 0; s < 20'000; ++s) {
-                acc = acc * 2862933555777941757ULL + 3037000493ULL;
-              }
+  TraceCollector::Global().ClearRetained();
+  TraceCollector::Global().Clear();
+  {
+    IQ_TRACE_ROOT_SCOPE(root, "test.fanout");
+    pool.ParallelFor(
+        kN,
+        [&](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            IQ_TRACE_SCOPE_ARG("test.chunk_item", i);
+            // Enough work per item that several workers claim items.
+            volatile uint64_t acc = static_cast<uint64_t>(i);
+            for (int s = 0; s < 20'000; ++s) {
+              acc = acc * 2862933555777941757ULL + 3037000493ULL;
             }
-          },
-          "test.fanout", policy);
-    }
-    std::vector<RetainedTrace> retained =
-        TraceCollector::Global().RetainedTraces();
-    ASSERT_EQ(retained.size(), 1u);
-    const RetainedTrace& rt = retained[0];
-    // The root, one ParallelFor call span, its chunk spans, and one span per
-    // item. Static chunks are 64 / (4 * 5) + 1 = 4 items wide; dynamic runs
-    // of claims close after 200 µs, so their count depends on timing, but
-    // together they cover every item exactly once. A worker that found the
-    // range drained adds an empty chunk.
-    const int chunks = CountSpansOfKind(rt, SpanKind::kChunk);
-    int nonempty_chunks = 0;
-    int64_t chunk_items = 0;
-    for (const TraceEvent& s : rt.spans) {
-      if (s.kind != SpanKind::kChunk) continue;
-      nonempty_chunks += s.arg0 > 0 ? 1 : 0;
-      chunk_items += s.arg0;
-    }
-    if (policy == ChunkPolicy::kStatic) {
-      EXPECT_EQ(nonempty_chunks, 16);
-    }
-    EXPECT_LE(chunks - nonempty_chunks, 4);  // at most one per worker
-    EXPECT_EQ(chunk_items, kN);
-    EXPECT_EQ(CountSpansOfKind(rt, SpanKind::kParallelFor), 1);
-    ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN + 2 + chunks));
-    ExpectWellFormedTree(rt);
-    EXPECT_EQ(CountSpansNamed(rt, "test.chunk_item"), kN);
-    EXPECT_GE(rt.NumThreads(), 2) << "fan-out never left the caller thread";
+          }
+        },
+        "test.fanout");
   }
+  std::vector<RetainedTrace> retained =
+      TraceCollector::Global().RetainedTraces();
+  ASSERT_EQ(retained.size(), 1u);
+  const RetainedTrace& rt = retained[0];
+  // The root, one ParallelFor call span, its chunk spans, and one span per
+  // item. Runs of claims close after 200 µs, so their count depends on
+  // timing, but together they cover every item exactly once. A worker that
+  // found the range drained adds an empty chunk.
+  const int chunks = CountSpansOfKind(rt, SpanKind::kChunk);
+  int nonempty_chunks = 0;
+  int64_t chunk_items = 0;
+  for (const TraceEvent& s : rt.spans) {
+    if (s.kind != SpanKind::kChunk) continue;
+    nonempty_chunks += s.arg0 > 0 ? 1 : 0;
+    chunk_items += s.arg0;
+  }
+  EXPECT_LE(chunks - nonempty_chunks, 4);  // at most one per worker
+  EXPECT_EQ(chunk_items, kN);
+  EXPECT_EQ(CountSpansOfKind(rt, SpanKind::kParallelFor), 1);
+  ASSERT_EQ(rt.spans.size(), static_cast<size_t>(kN + 2 + chunks));
+  ExpectWellFormedTree(rt);
+  EXPECT_EQ(CountSpansNamed(rt, "test.chunk_item"), kN);
+  EXPECT_GE(rt.NumThreads(), 2) << "fan-out never left the caller thread";
 
   // Serial fallback: same tree shape, one thread.
   TraceCollector::Global().ClearRetained();
@@ -269,8 +260,7 @@ TEST(TraceCausalTest, ParallelForChunksJoinTheDispatchersTrace) {
       }
     });
   }
-  std::vector<RetainedTrace> retained =
-      TraceCollector::Global().RetainedTraces();
+  retained = TraceCollector::Global().RetainedTraces();
   ASSERT_EQ(retained.size(), 1u);
   ExpectWellFormedTree(retained[0]);
   EXPECT_EQ(retained[0].NumThreads(), 1);
@@ -650,5 +640,3 @@ TEST(TraceAnalysisTest, OverlappingParallelChildLeavesThePath) {
 
 }  // namespace
 }  // namespace iq
-
-#endif  // IQ_TRACING_ENABLED

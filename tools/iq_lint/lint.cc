@@ -198,8 +198,8 @@ const BanRule kBanRules[] = {
      R"(TraceCollector::Global\(\)\s*\.\s*Record\b)",
      "direct TraceScope/TraceRoot construction or TraceCollector::Record "
      "call outside src/obs/trace.* (use IQ_TRACE_SCOPE / "
-     "IQ_TRACE_ROOT_SCOPE so spans compile out when IQ_ENABLE_TRACING is "
-     "off and trace-context save/restore stays correct)",
+     "IQ_TRACE_ROOT_SCOPE so every span site is one greppable idiom and "
+     "trace-context save/restore stays correct)",
      [](const std::string& path) {
        // The macros' own expansion site; trace_analysis.* is NOT exempt
        // (the '.' excludes it), and needs no exemption — it consumes span
