@@ -88,6 +88,9 @@ Result<MultiState> InitState(const SubdomainIndex& index,
   }
   MultiState st;
   const int dim = index.view().dataset().dim();
+  for (const IqOptions& o : options) {
+    IQ_RETURN_IF_ERROR(CheckIqOptions(o, dim));
+  }
   for (size_t t = 0; t < targets.size(); ++t) {
     IQ_ASSIGN_OR_RETURN(IqContext ctx,
                         IqContext::FromIndex(&index, targets[t]));
@@ -165,7 +168,7 @@ Result<MultiIqResult> CombinatorialMinCostIq(
 
   const int hits_before = st.UnionHits();
   int cur_hits = hits_before;
-  const int max_iters = 4 * tau + 16;
+  const int max_iters = DefaultMinCostIterations(tau);
   int iter = 0;
   bool reached = cur_hits >= tau;
   while (!reached && iter < max_iters) {

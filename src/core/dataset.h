@@ -31,6 +31,9 @@ class Dataset {
 
   const Vec& attrs(int id) const { return rows_[static_cast<size_t>(id)]; }
   bool is_active(int id) const { return active_[static_cast<size_t>(id)]; }
+  /// Active flag per slot (size() entries): the mask TopKScan and
+  /// ScoreKernel::Build take.
+  const std::vector<bool>& active() const { return active_; }
 
   /// Appends an object; returns its id.
   int Add(Vec attrs);

@@ -152,7 +152,7 @@ Result<int> RankUnderQueryOn(const EpochHandle& snap, int object, int q) {
   for (int i = 0; i < dataset.size(); ++i) {
     if (i == object || !dataset.is_active(i)) continue;
     double s = snap.view().Score(i, w);  // iq-lint: allow(raw-scoring-loop)
-    if (s < score || (s == score && i < object)) ++rank;
+    if (RanksBefore(s, i, score, object)) ++rank;
   }
   return rank;
 }
@@ -240,7 +240,6 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
     // which is the same sharing model /metrics already has.
     TraceTailConfig tail;
     tail.slow_trace_nanos = options.slow_trace_nanos;
-    tail.keep_first_n = options.slow_trace_keep_first;
     tail.max_retained =
         static_cast<size_t>(std::max(1, options.slow_trace_max_retained));
     TraceCollector::Global().ConfigureTailCapture(tail);
@@ -320,11 +319,8 @@ Result<std::vector<ScoredObject>> IqEngine::TopK(const Vec& weights,
   if (static_cast<int>(weights.size()) != view.form().num_weights()) {
     return Status::InvalidArgument("weight vector length mismatch");
   }
-  std::vector<bool> mask(static_cast<size_t>(dataset.size()));
-  for (int i = 0; i < dataset.size(); ++i) {
-    mask[static_cast<size_t>(i)] = dataset.is_active(i);
-  }
-  return TopKScan(view.rows(), &mask, view.form().AugmentWeights(weights), k);
+  return TopKScan(view.rows(), &dataset.active(),
+                  view.form().AugmentWeights(weights), k);
 }
 
 Result<int> IqEngine::RankUnderQuery(int object, int q) const {
@@ -532,10 +528,6 @@ IqEngine::Delta IqEngine::BeginDelta(DeltaKind kind) {
 
 void IqEngine::PublishLocked(Delta delta) {
   EngineMetrics::Get().epoch->Set(static_cast<int64_t>(delta.epoch));
-  // The maintenance hooks dropped the clone's SoA kernels (scalar fallback
-  // while mutating); rebuild them once here so every reader of the published
-  // epoch scores through the batch path (DESIGN.md §13).
-  delta.index->RebuildScoreKernels();
   auto snapshot = std::make_shared<const EpochSnapshot>(
       delta.epoch, std::move(delta.dataset), std::move(delta.queries),
       std::move(delta.view),

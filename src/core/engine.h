@@ -61,9 +61,6 @@ struct EngineOptions {
   /// observation-only: results stay byte-identical with it on or off
   /// (tests/parallel_diff_test.cc).
   int64_t slow_trace_nanos = 0;
-  /// With capture on, also retain the first N root solves unconditionally
-  /// (warmup examples for a fresh process before anything is slow).
-  int slow_trace_keep_first = 0;
   /// Capacity of the retained-trace store; oldest traces drop first.
   int slow_trace_max_retained = 32;
 };

@@ -51,36 +51,18 @@ EseEvaluator::EseEvaluator(const SubdomainIndex* index, int target)
     if (hit) ++base_hits_;
   }
   query_kernel_ = index_->query_kernel();
-  if (query_kernel_ != nullptr) {
-    dense_thresholds_.reserve(static_cast<size_t>(query_kernel_->num_rows()));
-    for (int q : query_kernel_->ids()) {
-      dense_thresholds_.push_back(thresholds_[static_cast<size_t>(q)]);
-    }
+  dense_thresholds_.reserve(static_cast<size_t>(query_kernel_->num_rows()));
+  for (int q : query_kernel_->ids()) {
+    dense_thresholds_.push_back(thresholds_[static_cast<size_t>(q)]);
   }
 }
 
 int EseEvaluator::HitsForCoeffs(const Vec& c) {
   ++calls_;
-  uint64_t scored;
-  int hits;
-  if (query_kernel_ != nullptr) {
-    // SoA batch path: same per-query Dot order and the same HitByThreshold
-    // comparison as the loop below, so the count is bit-identical.
-    hits = query_kernel_->CountHits(c, dense_thresholds_);
-    scored = static_cast<uint64_t>(query_kernel_->num_rows());
-  } else {
-    const QuerySet& queries = index_->queries();
-    hits = 0;
-    scored = 0;
-    for (int q = 0; q < queries.size(); ++q) {
-      if (!queries.is_active(q)) continue;
-      ++scored;
-      // Mid-mutation fallback: the On*() hooks reset the kernels.
-      // iq-lint: allow(raw-scoring-loop)
-      double score = Dot(c, index_->aug_weights(q));
-      if (HitByThreshold(score, thresholds_[static_cast<size_t>(q)])) ++hits;
-    }
-  }
+  // Same per-query Dot order and HitByThreshold comparison as a scalar loop
+  // over the active queries, so the count is bit-identical to it.
+  const int hits = query_kernel_->CountHits(c, dense_thresholds_);
+  const uint64_t scored = static_cast<uint64_t>(query_kernel_->num_rows());
   queries_rescored_ += scored;
   EseMetrics::Get().queries_reranked->Increment(scored);
   EseMetrics::Get().scan_evaluations->Increment();
@@ -141,22 +123,9 @@ int EseEvaluator::HitsViaWedges(const Vec& c) {
   return hits;
 }
 
-namespace {
-
-std::vector<bool> BuildActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
-}  // namespace
-
 BruteForceEvaluator::BruteForceEvaluator(const FunctionView* view,
                                          const QuerySet* queries, int target)
     : view_(view), queries_(queries), target_(target) {
-  active_mask_ = BuildActiveMask(view_->dataset());
   aug_w_.resize(static_cast<size_t>(queries_->size()));
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
@@ -175,7 +144,7 @@ int BruteForceEvaluator::HitsForCoeffs(const Vec& c) {
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
     const Vec& w = aug_w_[static_cast<size_t>(q)];
-    double kth = KthBestScore(view_->rows(), &active_mask_, w,
+    double kth = KthBestScore(view_->rows(), &view_->dataset().active(), w,
                               queries_->query(q).k, target_);
     // Reference evaluator: deliberately naive.
     // iq-lint: allow(raw-scoring-loop)
@@ -188,7 +157,6 @@ RtaStrategyEvaluator::RtaStrategyEvaluator(const FunctionView* view,
                                            const QuerySet* queries,
                                            int target)
     : view_(view), queries_(queries), target_(target) {
-  active_mask_ = BuildActiveMask(view_->dataset());
   for (int q = 0; q < queries_->size(); ++q) {
     if (!queries_->is_active(q)) continue;
     aug_w_dense_.push_back(
@@ -196,7 +164,8 @@ RtaStrategyEvaluator::RtaStrategyEvaluator(const FunctionView* view,
     ks_dense_.push_back(queries_->query(q).k);
   }
   order_ = Rta::LocalityOrder(aug_w_dense_);
-  rta_ = std::make_unique<Rta>(&view_->rows(), &active_mask_, target_);
+  rta_ = std::make_unique<Rta>(&view_->rows(), &view_->dataset().active(),
+                               target_);
   base_hits_ = HitsForCoeffs(view_->coeffs(target));
   calls_ = 0;
   queries_rescored_ = 0;

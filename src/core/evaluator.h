@@ -79,7 +79,8 @@ class StrategyEvaluator {
 /// Efficient Strategy Evaluation (Algorithm 2). The subdomain index already
 /// paid for ranking every query once; evaluation of a strategy then needs a
 /// single dot product per query against the cached hit threshold t_q —
-/// no top-k re-evaluation ever happens here. A geometric retrieval path
+/// no top-k re-evaluation ever happens here. The scan runs on the index's
+/// query kernel, which always mirrors the active queries. A geometric retrieval path
 /// (affected-subspace wedges over the R-tree, pruned to signature-member
 /// competitors) is exposed for thin strategies and validated against the
 /// scan in tests.
@@ -115,9 +116,9 @@ class EseEvaluator : public StrategyEvaluator {
   std::vector<double> thresholds_;
   std::vector<bool> base_hit_flags_;
   /// SoA batch path for the scan evaluation (DESIGN.md §13): the index's
-  /// query kernel captured at construction (null when the index is
-  /// mid-mutation → scalar fallback), plus thresholds_ re-indexed densely
-  /// to the kernel's row order so CountHits runs one fused pass.
+  /// query kernel captured at construction (it mirrors the active queries),
+  /// plus thresholds_ re-indexed densely to the kernel's row order so
+  /// CountHits runs one fused pass.
   std::shared_ptr<const ScoreKernel> query_kernel_;
   std::vector<double> dense_thresholds_;
 };
@@ -141,7 +142,6 @@ class BruteForceEvaluator : public StrategyEvaluator {
   int target_;
   int base_hits_ = 0;
   std::vector<Vec> aug_w_;
-  std::vector<bool> active_mask_;
 };
 
 /// RTA-IQ's evaluator: the reverse top-k Threshold Algorithm decides, per
@@ -166,7 +166,6 @@ class RtaStrategyEvaluator : public StrategyEvaluator {
   std::vector<Vec> aug_w_dense_;   // active queries only
   std::vector<int> ks_dense_;
   std::vector<int> order_;
-  std::vector<bool> active_mask_;
   /// Rta keeps per-call scratch state, and the counter below is a plain
   /// size_t bumped on every evaluation — both are why this evaluator reports
   /// SupportsConcurrentEval() == false and must stay caller-serialized.

@@ -18,14 +18,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::vector<bool> BuildActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
 AdjustBox EffectiveBox(const IqOptions& options, int dim) {
   return options.box.has_value() ? *options.box : AdjustBox::Unbounded(dim);
 }
@@ -85,6 +77,24 @@ struct SearchMetrics {
 
 }  // namespace
 
+Status CheckIqOptions(const IqOptions& options, int dim) {
+  if (options.box.has_value() && options.box->dim() != dim) {
+    return Status::InvalidArgument("box dimension does not match the objects");
+  }
+  if (!options.granularity.empty() &&
+      static_cast<int>(options.granularity.size()) != dim) {
+    return Status::InvalidArgument(
+        "granularity length does not match the objects");
+  }
+  return Status::Ok();
+}
+
+int DefaultMinCostIterations(int tau) {
+  return static_cast<int>(
+      std::min<int64_t>(4 * static_cast<int64_t>(tau) + 16,
+                        std::numeric_limits<int>::max()));
+}
+
 Result<IqContext> IqContext::FromIndex(const SubdomainIndex* index,
                                        int target) {
   // The context caches raw pointers into the index's view/queries: callers
@@ -123,7 +133,6 @@ Result<IqContext> IqContext::FromView(const FunctionView* view,
   ctx.view_ = view;
   ctx.queries_ = queries;
   ctx.target_ = target;
-  std::vector<bool> mask = BuildActiveMask(data);
   ctx.thresholds_.assign(static_cast<size_t>(queries->size()),
                          std::numeric_limits<double>::quiet_NaN());
   ctx.aug_w_.resize(static_cast<size_t>(queries->size()));
@@ -131,7 +140,8 @@ Result<IqContext> IqContext::FromView(const FunctionView* view,
     if (!queries->is_active(q)) continue;
     Vec w = view->form().AugmentWeights(queries->query(q).weights);
     ctx.thresholds_[static_cast<size_t>(q)] =
-        KthBestScore(view->rows(), &mask, w, queries->query(q).k, target);
+        KthBestScore(view->rows(), &data.active(), w, queries->query(q).k,
+                     target);
     ctx.aug_w_[static_cast<size_t>(q)] = std::move(w);
   }
   return ctx;
@@ -148,7 +158,7 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
   const double t = thresholds_[static_cast<size_t>(q)];
   if (std::isnan(t)) return Status::InvalidArgument("inactive query");
   const Vec& w = aug_w_[static_cast<size_t>(q)];
-  const double margin = options.hit_margin * (1.0 + std::fabs(t));
+  const double margin = kHitMargin * (1.0 + std::fabs(t));
   const double goal = t - margin;  // need score(p_cur + step) <= goal
   const int dim = view_->dataset().dim();
   AdjustBox total_box = EffectiveBox(options, dim);
@@ -265,7 +275,10 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
       "greedy.candidate_solve");
   out.reserve(slots.size());
   for (Candidate& cand : slots) {
-    if (cand.q >= 0) out.push_back(std::move(cand));
+    if (cand.q < 0) continue;
+    // The merged slots keep the serial path's ascending query-id order.
+    IQ_DCHECK(out.empty() || out.back().q < cand.q);
+    out.push_back(std::move(cand));
   }
   bd->solver_seconds += solver_timer.ElapsedSeconds();
   bd->candidates_generated += out.size();
@@ -341,7 +354,6 @@ void ApplyGranularity(const IqContext& ctx, StrategyEvaluator* evaluator,
                       int* hits) {
   if (options.granularity.empty()) return;
   const int dim = ctx.view().dataset().dim();
-  IQ_CHECK(static_cast<int>(options.granularity.size()) == dim);
   AdjustBox box = EffectiveBox(options, dim);
   const Vec& p = ctx.view().dataset().attrs(ctx.target());
 
@@ -384,35 +396,48 @@ void ApplyGranularity(const IqContext& ctx, StrategyEvaluator* evaluator,
   *s_total = std::move(snapped);
 }
 
-IqResult FinishResult(const Vec& s_total, const IqOptions& options,
-                      int hits_before, int hits_after, bool reached_goal,
-                      int iterations) {
-  IqResult r;
-  r.strategy = s_total;
-  r.cost = options.cost.Cost(s_total);
-  r.hits_before = hits_before;
-  r.hits_after = hits_after;
-  r.reached_goal = reached_goal;
-  r.iterations = iterations;
-  return r;
-}
+/// Per-call accounting shared by every search: the clock and the
+/// evaluator's counters at entry, folded into the result by Finish.
+class SearchCall {
+ public:
+  explicit SearchCall(const StrategyEvaluator& ev)
+      : ev_(ev),
+        calls_(ev.calls()),
+        rescored_(ev.queries_rescored()),
+        reused_(ev.queries_reused()) {}
 
-/// Closes out the per-call accounting: derives the evaluator deltas, stamps
-/// the result, and folds the iteration count into the global registry.
-void FinishBreakdown(const StrategyEvaluator& ev, size_t calls_before,
-                     size_t rescored_before, size_t reused_before,
-                     const WallTimer& timer, EvalBreakdown* bd, IqResult* r) {
-  bd->iterations = r->iterations;
-  bd->evaluator_calls = ev.calls() - calls_before;
-  bd->queries_rescored = ev.queries_rescored() - rescored_before;
-  bd->queries_reused = ev.queries_reused() - reused_before;
-  bd->total_seconds = timer.ElapsedSeconds();
-  r->evaluator_calls = bd->evaluator_calls;
-  r->seconds = bd->total_seconds;
-  r->breakdown = *bd;
-  SearchMetrics::Get().iterations->Increment(
-      static_cast<uint64_t>(r->iterations));
-}
+  EvalBreakdown bd;
+
+  /// The result for `s_total`, stamped with the per-call evaluator deltas;
+  /// also folds the iteration count into the global registry.
+  IqResult Finish(const Vec& s_total, const IqOptions& options,
+                  int hits_before, int hits_after, bool reached_goal,
+                  int iterations) {
+    bd.iterations = iterations;
+    bd.evaluator_calls = ev_.calls() - calls_;
+    bd.queries_rescored = ev_.queries_rescored() - rescored_;
+    bd.queries_reused = ev_.queries_reused() - reused_;
+    bd.total_seconds = timer_.ElapsedSeconds();
+    IqResult r;
+    r.strategy = s_total;
+    r.cost = options.cost.Cost(s_total);
+    r.hits_before = hits_before;
+    r.hits_after = hits_after;
+    r.reached_goal = reached_goal;
+    r.iterations = iterations;
+    r.evaluator_calls = bd.evaluator_calls;
+    r.seconds = bd.total_seconds;
+    r.breakdown = bd;
+    SearchMetrics::Get().iterations->Increment(
+        static_cast<uint64_t>(iterations));
+    return r;
+  }
+
+ private:
+  WallTimer timer_;
+  const StrategyEvaluator& ev_;
+  const size_t calls_, rescored_, reused_;
+};
 
 }  // namespace
 
@@ -420,11 +445,9 @@ Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                            int tau, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG2("MinCostIq", ctx.target(), tau);
   if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   const int target = ctx.target();
 
@@ -433,8 +456,8 @@ Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
   Vec c_cur = ctx.view().coeffs(target);
   int cur_hits = evaluator->base_hits();
   const int hits_before = cur_hits;
-  int max_iters =
-      options.max_iterations > 0 ? options.max_iterations : 4 * tau + 16;
+  int max_iters = options.max_iterations > 0 ? options.max_iterations
+                                             : DefaultMinCostIterations(tau);
 
   int iter = 0;
   bool reached = cur_hits >= tau;
@@ -469,26 +492,18 @@ Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
     reached = cur_hits >= tau;
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-    reached = cur_hits >= tau;
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            reached, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
+  reached = cur_hits >= tau;
+  return call.Finish(s_total, options, hits_before, cur_hits, reached, iter);
 }
 
 Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                           double beta, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
   if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   const int target = ctx.target();
 
@@ -528,25 +543,18 @@ Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
     cur_hits = best->hits;
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            /*reached_goal=*/true, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
+  return call.Finish(s_total, options, hits_before, cur_hits,
+                     /*reached_goal=*/true, iter);
 }
 
 Result<IqResult> GreedyMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
   if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   const int target = ctx.target();
 
@@ -555,8 +563,8 @@ Result<IqResult> GreedyMinCost(const IqContext& ctx,
   Vec c_cur = ctx.view().coeffs(target);
   int cur_hits = evaluator->base_hits();
   const int hits_before = cur_hits;
-  int max_iters =
-      options.max_iterations > 0 ? options.max_iterations : 4 * tau + 16;
+  int max_iters = options.max_iterations > 0 ? options.max_iterations
+                                             : DefaultMinCostIterations(tau);
 
   int iter = 0;
   bool reached = cur_hits >= tau;
@@ -580,26 +588,18 @@ Result<IqResult> GreedyMinCost(const IqContext& ctx,
     reached = cur_hits >= tau;
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-    reached = cur_hits >= tau;
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            reached, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
+  reached = cur_hits >= tau;
+  return call.Finish(s_total, options, hits_before, cur_hits, reached, iter);
 }
 
 Result<IqResult> GreedyMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
   if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   const int target = ctx.target();
 
@@ -631,14 +631,9 @@ Result<IqResult> GreedyMaxHit(const IqContext& ctx,
     bd.eval_seconds += eval_timer.ElapsedSeconds();
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  }
-  IqResult r = FinishResult(s_total, options, hits_before, cur_hits,
-                            /*reached_goal=*/true, iter);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
+  return call.Finish(s_total, options, hits_before, cur_hits,
+                     /*reached_goal=*/true, iter);
 }
 
 namespace {
@@ -675,11 +670,9 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
   if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
@@ -712,26 +705,18 @@ Result<IqResult> RandomMinCost(const IqContext& ctx,
     if (samples % 16 == 0) radius *= 1.5;  // widen the search
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, kInf, &best_s, &best_hits);
-    reached = best_hits >= tau;
-  }
-  IqResult r = FinishResult(best_s, options, hits_before, best_hits,
-                            reached, samples);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, kInf, &best_s, &best_hits);
+  reached = best_hits >= tau;
+  return call.Finish(best_s, options, hits_before, best_hits, reached, samples);
 }
 
 Result<IqResult> RandomMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
   if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  const size_t calls_before = evaluator->calls();
-  const size_t rescored_before = evaluator->queries_rescored();
-  const size_t reused_before = evaluator->queries_reused();
-  EvalBreakdown bd;
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
   const int dim = ctx.view().dataset().dim();
   Rng rng(options.seed);
   AdjustBox box = EffectiveBox(options, dim);
@@ -767,14 +752,9 @@ Result<IqResult> RandomMaxHit(const IqContext& ctx,
     }
   }
 
-  if (!options.granularity.empty()) {
-    ApplyGranularity(ctx, evaluator, options, beta, &best_s, &best_hits);
-  }
-  IqResult r = FinishResult(best_s, options, hits_before, best_hits,
-                            /*reached_goal=*/true, options.random_samples);
-  FinishBreakdown(*evaluator, calls_before, rescored_before, reused_before,
-                  timer, &bd, &r);
-  return r;
+  ApplyGranularity(ctx, evaluator, options, beta, &best_s, &best_hits);
+  return call.Finish(best_s, options, hits_before, best_hits,
+                     /*reached_goal=*/true, options.random_samples);
 }
 
 }  // namespace iq

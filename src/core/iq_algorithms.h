@@ -15,14 +15,16 @@
 
 namespace iq {
 
+/// Relative slack enforcing the strict inequality of Eq. 6: a candidate
+/// step aims at t_q - kHitMargin·(1 + |t_q|) rather than at t_q itself.
+inline constexpr double kHitMargin = 1e-7;
+
 /// Options shared by every IQ scheme.
 struct IqOptions {
   /// The query issuer's cost model (paper default: Eq. 30, L2).
   CostFunction cost = CostFunction::L2();
   /// Validity bounds on the strategy; unset = unbounded.
   std::optional<AdjustBox> box;
-  /// Relative slack enforcing the strict inequality of Eq. 6.
-  double hit_margin = 1e-7;
   /// 0 = automatic (4*tau + 16 for Min-Cost; unbounded-ish for Max-Hit).
   int max_iterations = 0;
   /// Per iteration, evaluate H(p'+s_j) only for the `candidate_eval_limit`
@@ -88,6 +90,14 @@ struct IqResult {
   double seconds = 0.0;
   EvalBreakdown breakdown;
 };
+
+/// InvalidArgument unless every shaped option matches the object dimension
+/// `dim`: a set `box` must have `dim` axes and a non-empty `granularity`
+/// `dim` entries. Every scheme that takes IqOptions checks this first.
+Status CheckIqOptions(const IqOptions& options, int dim);
+
+/// The automatic Min-Cost iteration cap, 4·tau + 16, saturated at INT_MAX.
+int DefaultMinCostIterations(int tau);
 
 /// Per-target workload context shared by all schemes: augmented weights,
 /// hit thresholds t_q, and the single-constraint candidate solver

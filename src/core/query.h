@@ -32,6 +32,8 @@ class QuerySet {
     return queries_[static_cast<size_t>(j)];
   }
   bool is_active(int j) const { return active_[static_cast<size_t>(j)]; }
+  /// Active flag per slot (size() entries).
+  const std::vector<bool>& active() const { return active_; }
 
   /// Appends a query; returns its id. Error on weight-length or k mismatch.
   Result<int> Add(TopKQuery q);

@@ -54,12 +54,11 @@ std::vector<int> ScoreKernel::TopKappaSignature(
                       (*scratch)[static_cast<size_t>(d)]});
   }
   const size_t k = std::min<size_t>(static_cast<size_t>(kappa), scored.size());
-  // Same comparator as TopKScan so the signature is bit-identical.
+  // Same order as TopKScan so the signature is bit-identical.
   std::partial_sort(scored.begin(), scored.begin() + static_cast<long>(k),
                     scored.end(),
                     [](const ScoredObject& a, const ScoredObject& b) {
-                      if (a.score != b.score) return a.score < b.score;
-                      return a.id < b.id;
+                      return RanksBefore(a.score, a.id, b.score, b.id);
                     });
   std::vector<int> sig;
   sig.reserve(k);

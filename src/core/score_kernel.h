@@ -29,9 +29,9 @@ namespace iq {
 ///
 /// Lifecycle: a kernel is an immutable snapshot of the rows it was built
 /// from. Owners rebuild it when the underlying matrix or active set
-/// changes (SubdomainIndex does this at build time and on epoch publish;
-/// its maintenance hooks drop the kernel and fall back to the scalar path
-/// while mutating — see SubdomainIndex::RebuildScoreKernels()).
+/// changes: SubdomainIndex builds both of its kernels in Build, rebuilds
+/// the changed side's kernel in every maintenance hook and shares them
+/// with its copy-on-write clones, so its kernels are never null or stale.
 /// Concurrency: after construction the kernel is read-only; any number of
 /// threads may score against it with no synchronization.
 class ScoreKernel {

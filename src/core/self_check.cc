@@ -8,22 +8,11 @@
 #include "topk/topk.h"
 
 namespace iq {
-namespace {
-
-std::vector<bool> ActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
-}  // namespace
 
 Status CrossCheckEse(const SubdomainIndex& index, int target) {
   const FunctionView& view = index.view();
   const QuerySet& queries = index.queries();
-  std::vector<bool> mask = ActiveMask(view.dataset());
+  const std::vector<bool>& mask = view.dataset().active();
   for (int q = 0; q < queries.size(); ++q) {
     if (!queries.is_active(q)) continue;
     const Vec& w = index.aug_weights(q);
@@ -71,9 +60,9 @@ Status CrossCheckSampledSubdomain(const SubdomainIndex& index,
   int rep = index.subdomain_queries(sd).front();
 
   const FunctionView& view = index.view();
-  std::vector<bool> mask = ActiveMask(view.dataset());
   std::vector<ScoredObject> top =
-      TopKScan(view.rows(), &mask, index.aug_weights(rep), index.kappa());
+      TopKScan(view.rows(), &view.dataset().active(), index.aug_weights(rep),
+               index.kappa());
   std::vector<int> fresh;
   fresh.reserve(top.size());
   for (const ScoredObject& so : top) fresh.push_back(so.id);

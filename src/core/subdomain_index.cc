@@ -20,7 +20,7 @@ namespace {
 
 /// Cached pointers into the global registry; all increments are lock-free.
 struct IndexMetrics {
-  Counter* full_reranks;          // ComputeSignature calls (full TopKScan)
+  Counter* full_reranks;          // ComputeSignature calls (full ranking)
   Counter* signature_cache_hits;  // OnQueryAdded resolved by kNN shortcut
   Counter* cells_visited;         // subdomains scanned in OnObjectRemoved
   Counter* cells_skipped;         // subdomains pruned by the Bloom filter
@@ -53,12 +53,6 @@ std::string SignatureKey(const std::vector<int>& sig) {
   std::string key(sig.size() * sizeof(int), '\0');
   if (!sig.empty()) std::memcpy(key.data(), sig.data(), key.size());
   return key;
-}
-
-std::vector<bool> ActiveMask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) mask[static_cast<size_t>(i)] = data.is_active(i);
-  return mask;
 }
 
 }  // namespace
@@ -96,11 +90,7 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
 
   // SoA object kernel first (DESIGN.md §13): phase 1's per-query ranking
   // scores against it, shared read-only across the pool workers.
-  {
-    std::vector<bool> mask = ActiveMask(view->dataset());
-    index.object_kernel_ = std::make_shared<const ScoreKernel>(
-        ScoreKernel::Build(view->rows(), &mask, view->form().num_slots()));
-  }
+  index.RebuildObjectKernel();
 
   std::vector<Vec> points;
   std::vector<int> ids;
@@ -108,7 +98,7 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
   ids.reserve(points.capacity());
 
   // Phase 1 (parallel): the expensive per-query ranking — augmented weights
-  // plus a full TopKScan signature per active query. Every unit writes only
+  // plus a full top-κ signature per active query. Every unit writes only
   // its own slots.
   std::vector<int> active;
   active.reserve(static_cast<size_t>(queries->num_active()));
@@ -147,12 +137,7 @@ Result<SubdomainIndex> SubdomainIndex::Build(const FunctionView* view,
       view->form().num_slots(), points, ids, options.rtree_max_entries));
 
   // Query kernel second: the augmented weights only exist after phase 1.
-  {
-    std::vector<bool> qmask(static_cast<size_t>(m), false);
-    for (int q : active) qmask[static_cast<size_t>(q)] = true;
-    index.query_kernel_ = std::make_shared<const ScoreKernel>(
-        ScoreKernel::Build(index.aug_w_, &qmask, view->form().num_slots()));
-  }
+  index.RebuildQueryKernel();
 
   index.build_seconds_ = timer.ElapsedSeconds();
   IndexMetrics::Get().build_nanos->Record(timer.ElapsedNanos());
@@ -185,9 +170,10 @@ SubdomainIndex SubdomainIndex::CloneCow(const FunctionView* view,
   // The Bloom filter is append-only and small; an eager copy keeps the
   // frozen parent's filter untouched when the clone adds boundary pairs.
   copy.boundary_bloom_ = std::make_unique<BloomFilter>(*boundary_bloom_);
-  // The SoA kernels stay null on the clone: the maintenance hooks are about
-  // to mutate the owners, so the scalar paths take over until the engine
-  // calls RebuildScoreKernels() at publish time (once per epoch).
+  // The kernels are immutable, so sharing them is safe; a hook replaces the
+  // clone's kernel of the side it changes.
+  copy.object_kernel_ = object_kernel_;
+  copy.query_kernel_ = query_kernel_;
   copy.build_seconds_ = build_seconds_;
   copy.knn_shortcut_hits_ = knn_shortcut_hits_;
   copy.maintenance_rerank_events_ = maintenance_rerank_events_;
@@ -212,32 +198,26 @@ RTree& SubdomainIndex::MutableRTree() {
 }
 
 void SubdomainIndex::RebuildScoreKernels() {
-  std::vector<bool> mask = ActiveMask(view_->dataset());
-  object_kernel_ = std::make_shared<const ScoreKernel>(
-      ScoreKernel::Build(view_->rows(), &mask, view_->form().num_slots()));
-  std::vector<bool> qmask(aug_w_.size(), false);
-  for (int q = 0; q < queries_->size(); ++q) {
-    if (queries_->is_active(q)) qmask[static_cast<size_t>(q)] = true;
-  }
-  query_kernel_ = std::make_shared<const ScoreKernel>(
-      ScoreKernel::Build(aug_w_, &qmask, view_->form().num_slots()));
+  RebuildObjectKernel();
+  RebuildQueryKernel();
+}
+
+void SubdomainIndex::RebuildObjectKernel() {
+  object_kernel_ = std::make_shared<const ScoreKernel>(ScoreKernel::Build(
+      view_->rows(), &view_->dataset().active(), view_->form().num_slots()));
+}
+
+void SubdomainIndex::RebuildQueryKernel() {
+  query_kernel_ = std::make_shared<const ScoreKernel>(ScoreKernel::Build(
+      aug_w_, &queries_->active(), view_->form().num_slots()));
 }
 
 std::vector<int> SubdomainIndex::ComputeSignature(const Vec& aug_w) const {
   IndexMetrics::Get().full_reranks->Increment();
-  if (object_kernel_ != nullptr) {
-    // SoA batch path: bit-identical to the TopKScan below (same comparator,
-    // same per-row accumulation order; see score_kernel.h).
-    std::vector<double> scratch;
-    return object_kernel_->TopKappaSignature(aug_w, kappa_, &scratch);
-  }
-  std::vector<bool> mask = ActiveMask(view_->dataset());
-  std::vector<ScoredObject> top =
-      TopKScan(view_->rows(), &mask, aug_w, kappa_);
-  std::vector<int> sig;
-  sig.reserve(top.size());
-  for (const ScoredObject& so : top) sig.push_back(so.id);
-  return sig;
+  // Bit-identical to TopKScan over the active rows (same order, same
+  // per-row accumulation; see score_kernel.h).
+  std::vector<double> scratch;
+  return object_kernel_->TopKappaSignature(aug_w, kappa_, &scratch);
 }
 
 bool SubdomainIndex::SignatureMatches(const Vec& aug_w,
@@ -261,14 +241,14 @@ bool SubdomainIndex::SignatureMatches(const Vec& aug_w,
   int prev_id = -1;
   for (int obj : sig) {
     double s = view_->Score(obj, aug_w);  // iq-lint: allow(raw-scoring-loop)
-    if (s < prev_score || (s == prev_score && obj < prev_id)) return false;
+    if (RanksBefore(s, obj, prev_score, prev_id)) return false;
     prev_score = s;
     prev_id = obj;
   }
   for (int i = 0; i < data.size(); ++i) {
     if (!data.is_active(i) || is_member[static_cast<size_t>(i)]) continue;
     double s = view_->Score(i, aug_w);  // iq-lint: allow(raw-scoring-loop)
-    if (s < prev_score || (s == prev_score && i < prev_id)) return false;
+    if (RanksBefore(s, i, prev_score, prev_id)) return false;
   }
   return true;
 }
@@ -389,10 +369,6 @@ Status SubdomainIndex::OnQueryAdded(int q) {
       sd_of_[static_cast<size_t>(q)] >= 0) {
     return Status::AlreadyExists("query already indexed");
   }
-  // The owners changed: drop the SoA kernels so every scoring path below
-  // (and until the next RebuildScoreKernels) is the scalar reference.
-  object_kernel_.reset();
-  query_kernel_.reset();
   aug_w_.resize(static_cast<size_t>(queries_->size()));
   sd_of_.resize(static_cast<size_t>(queries_->size()), -1);
   aug_w_[static_cast<size_t>(q)] =
@@ -417,6 +393,7 @@ Status SubdomainIndex::OnQueryAdded(int q) {
   }
   AttachQueryToSubdomain(q, sd);
   MutableRTree().Insert(w, q);
+  RebuildQueryKernel();
   EventLog::Global().Record(
       EventLog::IndexMaintenance("OnQueryAdded", q, /*ok=*/true, epoch_));
   return Status::Ok();
@@ -427,10 +404,9 @@ Status SubdomainIndex::OnQueryRemoved(int q) {
       sd_of_[static_cast<size_t>(q)] < 0) {
     return Status::NotFound("query is not indexed");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
   MutableRTree().Remove(aug_w_[static_cast<size_t>(q)], q);
   DetachQueryFromSubdomain(q);
+  RebuildQueryKernel();
   EventLog::Global().Record(
       EventLog::IndexMaintenance("OnQueryRemoved", q, /*ok=*/true, epoch_));
   return Status::Ok();
@@ -442,10 +418,9 @@ Status SubdomainIndex::OnObjectAdded(int id) {
       !view_->dataset().is_active(id)) {
     return Status::InvalidArgument("object id is not an active object");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
   sig_member_count_.resize(static_cast<size_t>(view_->dataset().size()), 0);
   const Vec& c = view_->coeffs(id);
+  const bool member_somewhere = sig_member_count_[static_cast<size_t>(id)] > 0;
   std::vector<int> touched_sds;
 
   // A new object can only change a query's signature when it enters the
@@ -455,6 +430,13 @@ Status SubdomainIndex::OnObjectAdded(int id) {
     int sd = sd_of_[static_cast<size_t>(q)];
     const Vec& w = aug_w_[static_cast<size_t>(q)];
     const std::vector<int>& sig = Cell(sd).signature;
+    // OnObjectChanged re-ranks with the object still active, so a signature
+    // may already hold it at its new rank; inserting it again would
+    // duplicate it. A fresh or reactivated id is in no signature.
+    if (member_somewhere &&
+        std::find(sig.begin(), sig.end(), id) != sig.end()) {
+      continue;
+    }
     double score_new = Dot(c, w);  // iq-lint: allow(raw-scoring-loop)
     bool enters;
     if (static_cast<int>(sig.size()) < kappa_) {
@@ -463,21 +445,23 @@ Status SubdomainIndex::OnObjectAdded(int id) {
       int last = sig.back();
       // iq-lint: allow(raw-scoring-loop): O(kappa) prefix repair
       double last_score = view_->Score(last, w);
-      enters = score_new < last_score ||
-               (score_new == last_score && id < last);
+      enters = RanksBefore(score_new, id, last_score, last);
     }
     if (!enters) continue;
     // Rebuild the prefix by inserting into the ordered member list.
-    std::vector<std::pair<double, int>> ranked;
+    std::vector<ScoredObject> ranked;
     ranked.reserve(sig.size() + 1);
     // iq-lint: allow(raw-scoring-loop): O(kappa) prefix repair
-    for (int obj : sig) ranked.emplace_back(view_->Score(obj, w), obj);
-    ranked.emplace_back(score_new, id);
-    std::sort(ranked.begin(), ranked.end());
+    for (int obj : sig) ranked.push_back({obj, view_->Score(obj, w)});
+    ranked.push_back({id, score_new});
+    std::sort(ranked.begin(), ranked.end(),
+              [](const ScoredObject& a, const ScoredObject& b) {
+                return RanksBefore(a.score, a.id, b.score, b.id);
+              });
     if (static_cast<int>(ranked.size()) > kappa_) ranked.pop_back();
     std::vector<int> new_sig;
     new_sig.reserve(ranked.size());
-    for (const auto& [s, obj] : ranked) new_sig.push_back(obj);
+    for (const ScoredObject& so : ranked) new_sig.push_back(so.id);
     int old_sd = sd_of_[static_cast<size_t>(q)];
     if (std::find(touched_sds.begin(), touched_sds.end(), old_sd) ==
         touched_sds.end()) {
@@ -488,6 +472,7 @@ Status SubdomainIndex::OnObjectAdded(int id) {
     ++maintenance_rerank_events_;
   }
   maintenance_affected_subdomains_ += touched_sds.size();
+  RebuildObjectKernel();
   IndexMetrics::Get().num_subdomains->Set(num_occupied_);
   EventLog::Global().Record(
       EventLog::IndexMaintenance("OnObjectAdded", id, /*ok=*/true, epoch_));
@@ -499,8 +484,9 @@ Status SubdomainIndex::OnObjectRemoved(int id) {
   if (id < 0 || id >= static_cast<int>(sig_member_count_.size())) {
     return Status::OutOfRange("object id out of range");
   }
-  object_kernel_.reset();
-  query_kernel_.reset();
+  // The affected queries re-rank against the kernel, so it must drop the
+  // removed object first.
+  RebuildObjectKernel();
   // Collect queries whose signature contains the object. The Bloom filter
   // over (object, subdomain) membership prunes subdomains that certainly do
   // not use the object as a boundary (paper §4.3).
@@ -655,13 +641,19 @@ Status SubdomainIndex::CheckInvariants() const {
   }
 
   // 3. Cached total orders agree with direct f_p(q) re-ranking: a full
-  // recompute at each cell's representative query, plus the cheaper
-  // signature-match scan at every other member query.
+  // scalar TopKScan (independent of the object kernel) at each cell's
+  // representative query, plus the cheaper signature-match scan at every
+  // other member query.
   for (int sd = 0; sd < static_cast<int>(subdomains_.size()); ++sd) {
     const Subdomain& s = Cell(sd);
     if (!s.occupied) continue;
     int rep = s.query_ids.front();
-    std::vector<int> fresh = ComputeSignature(aug_w_[static_cast<size_t>(rep)]);
+    std::vector<int> fresh;
+    for (const ScoredObject& so :
+         TopKScan(view_->rows(), &view_->dataset().active(),
+                  aug_w_[static_cast<size_t>(rep)], kappa_)) {
+      fresh.push_back(so.id);
+    }
     if (fresh != s.signature) {
       size_t pos = 0;
       while (pos < fresh.size() && pos < s.signature.size() &&
@@ -696,6 +688,16 @@ Status SubdomainIndex::CheckInvariants() const {
                             std::to_string(queries_->num_active()) +
                             " active queries");
   }
+
+  // 5. Each kernel holds exactly the rows a fresh build would.
+  const int slots = view_->form().num_slots();
+  if (object_kernel_->ids() !=
+          ScoreKernel::Build(view_->rows(), &view_->dataset().active(), slots)
+              .ids() ||
+      query_kernel_->ids() !=
+          ScoreKernel::Build(aug_w_, &queries_->active(), slots).ids()) {
+    return Status::Internal("a score kernel does not mirror its owner");
+  }
   return Status::Ok();
 }
 
@@ -718,8 +720,7 @@ size_t SubdomainIndex::MemoryBytes() const {
   bytes += sig_member_count_.capacity() * sizeof(int);
   if (rtree_ != nullptr) bytes += rtree_->MemoryBytes();
   if (boundary_bloom_ != nullptr) bytes += boundary_bloom_->MemoryBytes();
-  if (object_kernel_ != nullptr) bytes += object_kernel_->MemoryBytes();
-  if (query_kernel_ != nullptr) bytes += query_kernel_->MemoryBytes();
+  bytes += object_kernel_->MemoryBytes() + query_kernel_->MemoryBytes();
   return bytes;
 }
 

@@ -50,7 +50,9 @@ struct SubdomainIndexOptions {
 ///    searches of Algorithm 2;
 ///  * maintenance (§4.3): add/remove query (kNN candidate subdomains),
 ///    add/remove object (signature patching; a Bloom filter over
-///    (object, subdomain) boundary membership prunes the removal scan).
+///    (object, subdomain) boundary membership prunes the removal scan);
+///  * scoring: two SoA kernels (DESIGN.md §13.2) that the hooks keep
+///    mirroring the active objects and the active queries.
 ///
 /// Concurrency: externally synchronized, frozen-after-publish (DESIGN.md
 /// §12). The index owns no lock. In the engine's epoch architecture every
@@ -79,14 +81,14 @@ class SubdomainIndex {
   SubdomainIndex& operator=(SubdomainIndex&&) = default;
 
   /// Copy-on-write clone for the next epoch (DESIGN.md §12): the subdomain
-  /// cells and the R-tree are *shared* with this index (cheap pointer
-  /// copies), the O(m) per-query tables and the Bloom filter are copied, and
-  /// `view`/`queries` rebind the clone to the next epoch's own owners. The
-  /// clone's maintenance hooks then clone any cell they touch before
-  /// mutating it (the §4.3 affected-subspace computation decides which),
-  /// counted by iq.index.cow_cells_cloned — untouched cells stay shared
-  /// across arbitrarily many epochs. `this` must be treated as frozen while
-  /// any clone of it is alive.
+  /// cells, the R-tree and the immutable score kernels are *shared* with
+  /// this index (cheap pointer copies), the O(m) per-query tables and the
+  /// Bloom filter are copied, and `view`/`queries` rebind the clone to the
+  /// next epoch's own owners. The clone's maintenance hooks then clone any
+  /// cell they touch before mutating it (the §4.3 affected-subspace
+  /// computation decides which), counted by iq.index.cow_cells_cloned —
+  /// untouched cells stay shared across arbitrarily many epochs. `this`
+  /// must be treated as frozen while any clone of it is alive.
   SubdomainIndex CloneCow(const FunctionView* view, const QuerySet* queries,
                           uint64_t epoch) const;
 
@@ -114,23 +116,22 @@ class SubdomainIndex {
     return aug_w_[static_cast<size_t>(q)];
   }
 
-  /// SoA batch-scoring kernels (DESIGN.md §13), or null while the index is
-  /// mid-mutation. `object_kernel()` mirrors the active FunctionView rows
+  /// SoA batch-scoring kernels (DESIGN.md §13), never null on a built
+  /// index. `object_kernel()` mirrors the active FunctionView rows
   /// (signature ranking scores against it); `query_kernel()` mirrors the
   /// active queries' augmented weights (ESE scan evaluation scores against
-  /// it). Build() constructs both; every On*() maintenance hook and
-  /// CloneCow() drop them (the scalar paths take over, bit-identically);
-  /// RebuildScoreKernels() — called by the engine right before an epoch is
-  /// published — restores them, so each epoch builds its kernels exactly
-  /// once under the COW delta path.
+  /// it). Build() constructs both; the object hooks rebuild the object
+  /// kernel, the query hooks the query kernel, and CloneCow() shares both,
+  /// so after every hook each kernel mirrors its owner.
   std::shared_ptr<const ScoreKernel> object_kernel() const {
     return object_kernel_;
   }
   std::shared_ptr<const ScoreKernel> query_kernel() const {
     return query_kernel_;
   }
-  /// Rebuilds both kernels from the current owners. Caller holds the writer
-  /// lock (or owns the index exclusively, standalone).
+  /// Rebuilds both kernels from the current owners. The hooks already keep
+  /// them current; this prices a full rebuild. Caller holds the writer lock
+  /// (or owns the index exclusively, standalone).
   void RebuildScoreKernels();
 
   /// Object ids that appear in at least one signature — the only possible
@@ -170,10 +171,11 @@ class SubdomainIndex {
   /// re-ranking (the cross-check-against-naive discipline; see DESIGN.md
   /// "Correctness tooling"): the query ↔ subdomain assignment is consistent
   /// in both directions, occupancy/membership counters re-count, every
-  /// cell's cached total order agrees with a fresh f_p(q) re-ranking at the
-  /// cell's representative query (and signature-matches every other member
-  /// query), and the R-tree passes its own CheckInvariants. Returns the
-  /// first defect found, precisely located; Ok when sound. O(S·n·κ).
+  /// cell's cached total order agrees with a fresh scalar f_p(q) re-ranking
+  /// at the cell's representative query (and signature-matches every other
+  /// member query), the R-tree passes its own CheckInvariants, and each
+  /// kernel holds exactly its owner's active ids. Returns the first defect
+  /// found, precisely located; Ok when sound. O(S·n·κ).
   Status CheckInvariants() const;
 
   /// Test-only: corrupts subdomain `sd`'s cached signature by swapping its
@@ -210,6 +212,9 @@ class SubdomainIndex {
   SubdomainIndex() = default;
 
   std::vector<int> ComputeSignature(const Vec& aug_w) const;
+  /// Re-mirror one kernel from its owner (Build, hooks, full rebuild).
+  void RebuildObjectKernel();
+  void RebuildQueryKernel();
   /// Verifies "q belongs to subdomain sd" with one unsorted scan (the
   /// signature-based analogue of the paper's boundary above/below checks).
   bool SignatureMatches(const Vec& aug_w, const std::vector<int>& sig) const;
@@ -257,9 +262,9 @@ class SubdomainIndex {
   std::shared_ptr<RTree> rtree_ IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::unique_ptr<BloomFilter> boundary_bloom_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
-  // SoA scoring kernels; null while mutating (see accessors above). Shared
-  // const so readers holding an epoch pin can keep scoring against a
-  // retired epoch's kernel after the writer moves on.
+  // SoA scoring kernels (see accessors above). Shared const so readers
+  // holding an epoch pin can keep scoring against a retired epoch's kernel
+  // after the writer moves on.
   std::shared_ptr<const ScoreKernel> object_kernel_
       IQ_GUARDED_BY_CALLER(IqEngine::mu_);
   std::shared_ptr<const ScoreKernel> query_kernel_

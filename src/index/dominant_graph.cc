@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "topk/topk.h"
 #include "util/logging.h"
 
 namespace iq {
@@ -80,8 +81,7 @@ std::vector<std::pair<int, double>> DominantGraph::TopK(const Vec& weights,
   }
   auto cmp = [](const std::pair<int, double>& a,
                 const std::pair<int, double>& b) {
-    if (a.second != b.second) return a.second < b.second;
-    return a.first < b.first;
+    return RanksBefore(a.second, a.first, b.second, b.first);
   };
   int kk = std::min<int>(k, static_cast<int>(candidates.size()));
   std::partial_sort(candidates.begin(), candidates.begin() + kk,

@@ -45,8 +45,7 @@ Result<std::vector<ScoredObject>> ThresholdAlgorithm::TopK(
   };
 
   auto cmp = [](const ScoredObject& a, const ScoredObject& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.id < b.id;
+    return RanksBefore(a.score, a.id, b.score, b.id);
   };
   // Max-heap semantics via a sorted vector of at most k best seen.
   std::vector<ScoredObject> best;

@@ -17,8 +17,7 @@ std::vector<ScoredObject> TopKScan(const std::vector<Vec>& coeffs,
     scored.push_back({i, Dot(coeffs[static_cast<size_t>(i)], w)});
   }
   auto cmp = [](const ScoredObject& a, const ScoredObject& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.id < b.id;
+    return RanksBefore(a.score, a.id, b.score, b.id);
   };
   int kk = std::min<int>(k, static_cast<int>(scored.size()));
   std::partial_sort(scored.begin(), scored.begin() + kk, scored.end(), cmp);

@@ -22,6 +22,15 @@ inline bool HitByThreshold(double score, double kth_competitor_score) {
   return score < kth_competitor_score;
 }
 
+/// The one ranking order: (score_a, id_a) ranks strictly before
+/// (score_b, id_b) iff its score is lower, or the scores are equal and its id
+/// is lower. TopK, the rank operators, the signature ranking and every
+/// comparator over scored objects use it.
+inline bool RanksBefore(double score_a, int id_a, double score_b, int id_b) {
+  if (score_a != score_b) return score_a < score_b;
+  return id_a < id_b;
+}
+
 /// Brute-force top-k scan over coefficient rows: the k lowest scores under
 /// weights `w`, ascending, ties broken by id. `active` may be null (all
 /// rows); `exclude` (>= 0) skips one id.

@@ -11,20 +11,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/engine.h"
-#include "data/queries.h"
-#include "data/synthetic.h"
+#include "tests/test_world.h"
 
 namespace iq {
 namespace {
-
-Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed) {
-  Dataset data = MakeIndependent(n, dim, seed);
-  QueryGenOptions qopts;
-  qopts.k_max = 5;
-  return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
-                          MakeQueries(m, dim, seed + 1, qopts));
-}
 
 TEST(EngineMoveTest, MoveAssignmentTransfersState) {
   auto a = MakeEngine(40, 25, 3, 90);

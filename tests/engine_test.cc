@@ -2,20 +2,10 @@
 
 #include <limits>
 
-#include "core/engine.h"
-#include "data/queries.h"
-#include "data/synthetic.h"
+#include "tests/test_world.h"
 
 namespace iq {
 namespace {
-
-Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed) {
-  Dataset data = MakeIndependent(n, dim, seed);
-  QueryGenOptions qopts;
-  qopts.k_max = 5;
-  return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
-                          MakeQueries(m, dim, seed + 1, qopts));
-}
 
 TEST(EngineTest, CreateAndInspect) {
   auto engine = MakeEngine(50, 30, 3, 70);
@@ -149,6 +139,46 @@ TEST(EngineTest, RejectsNonFiniteInputs) {
   const double big = std::numeric_limits<double>::max();
   ASSERT_TRUE(engine->ApplyStrategy(0, {big, 0.0, 0.0}).ok());
   expect_invalid(engine->ApplyStrategy(0, {big, 0.0, 0.0}));
+
+  // Options shaped for another dimension: a granularity of length 2 used to
+  // abort in the snapping step, a 2-axis box in the candidate solver. Every
+  // scheme, single- and multi-target, must reject both up front.
+  auto shaped = MakeEngine(40, 20, 3, 82);
+  ASSERT_TRUE(shaped.ok());
+  IqOptions short_grain;
+  short_grain.granularity = {0.1, 0.1};
+  IqOptions short_box;
+  short_box.box = AdjustBox::Unbounded(2);
+  for (const IqOptions& bad : {short_grain, short_box}) {
+    for (IqScheme scheme : {IqScheme::kEfficient, IqScheme::kRta,
+                            IqScheme::kGreedy, IqScheme::kRandom,
+                            IqScheme::kExhaustive}) {
+      SCOPED_TRACE(IqSchemeName(scheme));
+      expect_invalid(shaped->MinCost(0, 5, bad, scheme).status());
+      expect_invalid(shaped->MaxHit(0, 0.3, bad, scheme).status());
+    }
+    expect_invalid(shaped->MultiMinCost({0, 1}, 5, {bad}).status());
+    expect_invalid(shaped->MultiMaxHit({0, 1}, 0.3, {bad}).status());
+  }
+}
+
+TEST(EngineTest, LargestTauKeepsTheIterationCapFinite) {
+  // The automatic Min-Cost iteration cap is 4·tau + 16; at tau = INT_MAX it
+  // must saturate rather than overflow (UBSan aborts on the overflow). No
+  // engine has that many queries, so every search ends short of the goal.
+  auto engine = MakeEngine(40, 20, 3, 83);
+  ASSERT_TRUE(engine.ok());
+  const int tau = std::numeric_limits<int>::max();
+  for (IqScheme scheme : {IqScheme::kEfficient, IqScheme::kGreedy}) {
+    SCOPED_TRACE(IqSchemeName(scheme));
+    auto r = engine->MinCost(0, tau, {}, scheme);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->reached_goal);
+    EXPECT_LE(r->hits_after, engine->queries().num_active());
+  }
+  auto multi = engine->MultiMinCost({0, 1}, tau, {IqOptions{}});
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  EXPECT_FALSE(multi->reached_goal);
 }
 
 TEST(EngineTest, MultiTargetThroughEngine) {

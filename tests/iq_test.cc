@@ -12,12 +12,6 @@
 namespace iq {
 namespace {
 
-int VerifyHits(const TestWorld& w, int target, const Vec& s) {
-  BruteForceEvaluator brute(w.view.get(), w.queries.get(), target);
-  return brute.HitsForCoeffs(
-      w.view->CoefficientsFor(Add(w.data->attrs(target), s)));
-}
-
 struct IqCase {
   int n;
   int m;

@@ -2,14 +2,15 @@
 //
 // The SoA ScoreKernel promises BIT-IDENTICAL results to the scalar
 // reference paths — not approximately equal: the per-row accumulation runs
-// in the same slot order as Dot(), the top-κ comparator is TopKScan's, the
-// hit predicate is HitByThreshold. These tests enforce the promise with a
+// in the same slot order as Dot(), the top-κ order is TopKScan's, the hit
+// predicate is HitByThreshold. These tests enforce the promise with a
 // randomized differential sweep: 1000 random worlds across dims 2-10,
 // diffing raw scores, top-κ signatures, hit sets and the ESE
-// rescored/reused work split between the kernel path and the scalar
-// fallback, plus the same searches across pools of 0/1/2/4/8 threads. CI
-// runs the suite in every lane (and under ASan/TSan) — the assertions are
-// exact equality.
+// rescored/reused work split between the kernel path and scalar loops
+// written here, plus the same searches across pools of 0/1/2/4/8 threads.
+// They also pin down the index's own invariant: after every maintenance
+// hook both kernels mirror their owners. CI runs the suite in every lane
+// (and under ASan/TSan) — the assertions are exact equality.
 //
 // The FP-order contract tests at the bottom pin down *why* exactness is
 // required: with catastrophic-cancellation rows a reassociated sum gives a
@@ -22,7 +23,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -63,8 +66,7 @@ TEST(KernelEquivTest, KernelsBitIdenticalToScalarOnRandomWorlds) {
     }
     FunctionView view(&data, LinearForm::Identity(dim));
     const int slots = view.form().num_slots();
-    std::vector<bool> mask(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) mask[static_cast<size_t>(i)] = data.is_active(i);
+    const std::vector<bool>& mask = data.active();
 
     ScoreKernel kernel = ScoreKernel::Build(view.rows(), &mask, slots);
     ASSERT_EQ(kernel.num_rows(), data.num_active());
@@ -136,13 +138,101 @@ TEST(KernelEquivTest, EmptyAndDegenerateKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// Index + evaluator routing: kernel path vs scalar fallback on one state
+// Index lifecycle: the kernels mirror their owners after every hook
 // ---------------------------------------------------------------------------
 
-// The only way to observe the scalar fallback on a semantically identical
-// index is the real lifecycle: a maintenance hook drops the kernels (scalar
-// takes over), RebuildScoreKernels() restores them. Both evaluators below
-// therefore wrap the *same* post-mutation index state.
+std::vector<int> ActiveIds(const std::vector<bool>& active) {
+  std::vector<int> ids;
+  for (size_t i = 0; i < active.size(); ++i) {
+    if (active[i]) ids.push_back(static_cast<int>(i));
+  }
+  return ids;
+}
+
+// After every maintenance hook both kernels exist, hold exactly the active
+// ids, and score every dense row bit-identically to Dot on the row they
+// mirror; a copy-on-write clone shares them.
+TEST(KernelEquivTest, KernelsMirrorOwnersAfterEveryHook) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int dim = 2 + trial % 5;
+    const int n = static_cast<int>(rng.UniformInt(12, 40));
+    const uint64_t seed = rng.NextUint64(1'000'000);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
+                                    << " dim=" << dim);
+    TestWorld w = TestWorld::Linear(n, /*m=*/12, dim, seed);
+    const int victim = static_cast<int>(rng.UniformInt(0, n - 1));
+    const int changed = (victim + 1) % n;
+    const std::pair<const char*, std::function<Status()>> hooks[] = {
+        {"OnQueryAdded",
+         [&] {
+           IQ_ASSIGN_OR_RETURN(
+               int q, w.queries->Add(MakeQueries(1, dim, seed + 7)[0]));
+           return w.index->OnQueryAdded(q);
+         }},
+        {"OnQueryRemoved",
+         [&] {
+           IQ_RETURN_IF_ERROR(w.queries->Remove(3));
+           return w.index->OnQueryRemoved(3);
+         }},
+        {"OnObjectAdded",
+         [&] {
+           const int id = w.data->Add(rng.UniformVector(dim, 0.0, 0.2));
+           w.view->AppendRow(id);
+           return w.index->OnObjectAdded(id);
+         }},
+        {"OnObjectRemoved",
+         [&] {
+           IQ_RETURN_IF_ERROR(w.data->Remove(victim));
+           return w.index->OnObjectRemoved(victim);
+         }},
+        {"OnObjectChanged",
+         [&] {
+           IQ_RETURN_IF_ERROR(
+               w.data->SetAttrs(changed, rng.UniformVector(dim, 0.0, 0.2)));
+           w.view->RefreshRow(changed);
+           return w.index->OnObjectChanged(changed);
+         }},
+    };
+    for (const auto& [name, hook] : hooks) {
+      SCOPED_TRACE(name);
+      ASSERT_TRUE(hook().ok());
+      const ScoreKernel* objects = w.index->object_kernel().get();
+      const ScoreKernel* queries = w.index->query_kernel().get();
+      ASSERT_NE(objects, nullptr);
+      ASSERT_NE(queries, nullptr);
+      EXPECT_EQ(objects->ids(), ActiveIds(w.data->active()));
+      EXPECT_EQ(queries->ids(), ActiveIds(w.queries->active()));
+      const Vec v = rng.UniformVector(w.view->form().num_slots(), -2.0, 2.0);
+      std::vector<double> scores;
+      objects->ScoreAll(v, &scores);
+      for (int d = 0; d < objects->num_rows(); ++d) {
+        EXPECT_EQ(scores[static_cast<size_t>(d)],
+                  Dot(w.view->rows()[static_cast<size_t>(objects->id_at(d))],
+                      v));
+      }
+      queries->ScoreAll(v, &scores);
+      for (int d = 0; d < queries->num_rows(); ++d) {
+        EXPECT_EQ(scores[static_cast<size_t>(d)],
+                  Dot(w.index->aug_weights(queries->id_at(d)), v));
+      }
+      const Status st = w.index->CheckInvariants();
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    const SubdomainIndex clone =
+        w.index->CloneCow(w.view.get(), w.queries.get(), /*epoch=*/1);
+    EXPECT_EQ(clone.object_kernel(), w.index->object_kernel());
+    EXPECT_EQ(clone.query_kernel(), w.index->query_kernel());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Evaluator: kernel scan vs a scalar loop on a hook-maintained index
+// ---------------------------------------------------------------------------
+
+// A maintenance hook leaves the index's kernels current, so the evaluator
+// built right after it scans through the query kernel. It must agree call
+// by call with a plain HitByThreshold(Dot) loop over the active queries.
 TEST(KernelEquivTest, EseKernelAndScalarPathsIdenticalOn200Worlds) {
   Rng rng(1234);
   for (int trial = 0; trial < 200; ++trial) {
@@ -153,58 +243,65 @@ TEST(KernelEquivTest, EseKernelAndScalarPathsIdenticalOn200Worlds) {
     SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n
                                     << " m=" << m << " dim=" << dim);
     TestWorld w = TestWorld::Linear(n, m, dim, seed);
-    ASSERT_NE(w.index->object_kernel(), nullptr);
-    ASSERT_NE(w.index->query_kernel(), nullptr);
 
-    // Mutate through a hook: kernels drop, scalar paths take over.
     const int victim = static_cast<int>(rng.UniformInt(0, n - 1));
     ASSERT_TRUE(w.data->Remove(victim).ok());
     ASSERT_TRUE(w.index->OnObjectRemoved(victim).ok());
-    ASSERT_EQ(w.index->object_kernel(), nullptr);
-    ASSERT_EQ(w.index->query_kernel(), nullptr);
 
     int target = static_cast<int>(rng.UniformInt(0, n - 1));
     if (target == victim) target = (victim + 1) % n;
-    EseEvaluator scalar(w.index.get(), target);
-
-    w.index->RebuildScoreKernels();
-    ASSERT_NE(w.index->query_kernel(), nullptr);
     EseEvaluator kernel(w.index.get(), target);
 
+    // The scalar reference: one Dot and one HitByThreshold per active query.
+    const std::vector<double> thresholds = w.index->HitThresholds(target);
+    auto scalar_hits = [&](const Vec& c) {
+      int hits = 0;
+      for (int q = 0; q < w.queries->size(); ++q) {
+        if (!w.queries->is_active(q)) continue;
+        if (HitByThreshold(Dot(c, w.index->aug_weights(q)),
+                           thresholds[static_cast<size_t>(q)])) {
+          ++hits;
+        }
+      }
+      return hits;
+    };
+
     // Construction-time state matches exactly.
-    ASSERT_EQ(scalar.base_hits(), kernel.base_hits());
-    ASSERT_EQ(scalar.thresholds().size(), kernel.thresholds().size());
-    for (size_t q = 0; q < scalar.thresholds().size(); ++q) {
-      const double a = scalar.thresholds()[q], b = kernel.thresholds()[q];
+    ASSERT_EQ(kernel.thresholds().size(), thresholds.size());
+    for (size_t q = 0; q < thresholds.size(); ++q) {
+      const double a = thresholds[q], b = kernel.thresholds()[q];
       EXPECT_TRUE(a == b || (std::isnan(a) && std::isnan(b))) << "query " << q;
     }
-    EXPECT_EQ(scalar.base_hit_flags(), kernel.base_hit_flags());
+    EXPECT_EQ(kernel.base_hits(), scalar_hits(w.view->coeffs(target)));
 
-    // Random candidate coefficient vectors: identical hit counts AND an
-    // identical rescored/reused work split, call by call.
-    for (int probe = 0; probe < 8; ++probe) {
+    // Random candidate coefficient vectors: identical hit counts call by
+    // call, and every call rescores every active query.
+    const int probes = 8;
+    for (int probe = 0; probe < probes; ++probe) {
       const Vec s = rng.UniformVector(dim, -0.2, 0.2);
       const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
-      ASSERT_EQ(scalar.HitsForCoeffs(c), kernel.HitsForCoeffs(c))
-          << "probe " << probe;
+      ASSERT_EQ(kernel.HitsForCoeffs(c), scalar_hits(c)) << "probe " << probe;
     }
-    EXPECT_EQ(scalar.calls(), kernel.calls());
-    EXPECT_EQ(scalar.queries_rescored(), kernel.queries_rescored());
-    EXPECT_EQ(scalar.queries_reused(), kernel.queries_reused());
+    const size_t active = static_cast<size_t>(w.queries->num_active());
+    EXPECT_EQ(kernel.calls(), static_cast<size_t>(probes));
+    EXPECT_EQ(kernel.queries_rescored(), probes * active);
+    EXPECT_EQ(kernel.queries_reused(), 0u);
 
     // The geometric wedge path (always scalar) must agree with both scans.
     const Vec s = rng.UniformVector(dim, -0.1, 0.1);
     const Vec c = w.view->CoefficientsFor(Add(w.data->attrs(target), s));
-    EseEvaluator wedge_scalar(w.index.get(), target);
-    EXPECT_EQ(wedge_scalar.HitsViaWedges(c), kernel.HitsForCoeffs(c));
+    EseEvaluator wedge(w.index.get(), target);
+    const int wedge_hits = wedge.HitsViaWedges(c);
+    EXPECT_EQ(wedge_hits, kernel.HitsForCoeffs(c));
+    EXPECT_EQ(wedge_hits, scalar_hits(c));
+    EXPECT_EQ(wedge.queries_rescored() + wedge.queries_reused(), active);
   }
 }
 
 TEST(KernelEquivTest, SignatureRankingIdenticalAcrossLifecycle) {
-  // ComputeSignature flows through the object kernel on a freshly built or
-  // re-published index and through TopKScan mid-mutation; the subdomain
-  // structure must be indistinguishable. Rebuild-from-scratch (kernel path
-  // end to end) vs hook-patched (scalar re-rank, then kernels restored).
+  // Rebuild-from-scratch vs hook-patched: the re-ranks inside
+  // OnObjectRemoved and a fresh Build must produce indistinguishable
+  // subdomain structures, and an explicit kernel rebuild changes nothing.
   Rng rng(5678);
   for (int trial = 0; trial < 50; ++trial) {
     const int dim = 2 + trial % 9;
@@ -238,19 +335,6 @@ TEST(KernelEquivTest, SignatureRankingIdenticalAcrossLifecycle) {
 // Full searches: kernel-backed ESE across thread counts 0/1/2/4/8
 // ---------------------------------------------------------------------------
 
-void ExpectIdenticalIqResults(const IqResult& a, const IqResult& b) {
-  ASSERT_EQ(a.strategy.size(), b.strategy.size());
-  for (size_t j = 0; j < a.strategy.size(); ++j) {
-    EXPECT_EQ(a.strategy[j], b.strategy[j]) << "component " << j;
-  }
-  EXPECT_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.hits_after, b.hits_after);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.breakdown.candidates_evaluated, b.breakdown.candidates_evaluated);
-  EXPECT_EQ(a.breakdown.queries_rescored, b.breakdown.queries_rescored);
-  EXPECT_EQ(a.breakdown.queries_reused, b.breakdown.queries_reused);
-}
-
 TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
   Rng rng(9999);
   ThreadPool pool1(1), pool2(2), pool4(4), pool8(8);
@@ -280,7 +364,7 @@ TEST(KernelEquivTest, SearchesOverKernelIdenticalAcrossThreadCounts) {
     }
     for (size_t i = 1; i < results.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "variant " << i);
-      ExpectIdenticalIqResults(results[0], results[i]);
+      ExpectIdenticalResults(results[0], results[i], "MinCost");
     }
   }
 }

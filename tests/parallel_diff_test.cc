@@ -159,38 +159,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineOnWorkers) {
 // Differential oracle: greedy searches across thread counts
 // ---------------------------------------------------------------------------
 
-int VerifyHits(const TestWorld& w, int target, const Vec& s) {
-  BruteForceEvaluator brute(w.view.get(), w.queries.get(), target);
-  return brute.HitsForCoeffs(
-      w.view->CoefficientsFor(Add(w.data->attrs(target), s)));
-}
-
-/// Everything observable about an IqResult except wall-clock timings.
-void ExpectIdenticalResults(const IqResult& a, const IqResult& b,
-                            const char* what) {
-  ASSERT_EQ(a.strategy.size(), b.strategy.size()) << what;
-  for (size_t j = 0; j < a.strategy.size(); ++j) {
-    // Bit-identical, not approximately equal: the deterministic reduction
-    // guarantees the same floating-point operations in the same order.
-    EXPECT_EQ(a.strategy[j], b.strategy[j]) << what << " component " << j;
-  }
-  EXPECT_EQ(a.cost, b.cost) << what;
-  EXPECT_EQ(a.hits_before, b.hits_before) << what;
-  EXPECT_EQ(a.hits_after, b.hits_after) << what;
-  EXPECT_EQ(a.reached_goal, b.reached_goal) << what;
-  EXPECT_EQ(a.iterations, b.iterations) << what;
-  EXPECT_EQ(a.evaluator_calls, b.evaluator_calls) << what;
-  EXPECT_EQ(a.breakdown.iterations, b.breakdown.iterations) << what;
-  EXPECT_EQ(a.breakdown.candidates_generated, b.breakdown.candidates_generated)
-      << what;
-  EXPECT_EQ(a.breakdown.candidates_evaluated, b.breakdown.candidates_evaluated)
-      << what;
-  EXPECT_EQ(a.breakdown.evaluator_calls, b.breakdown.evaluator_calls) << what;
-  EXPECT_EQ(a.breakdown.queries_rescored, b.breakdown.queries_rescored)
-      << what;
-  EXPECT_EQ(a.breakdown.queries_reused, b.breakdown.queries_reused) << what;
-}
-
 TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
   // Randomized sweep: world shapes drawn from a seeded Rng, results compared
   // across num_threads in {0 (serial fallback), 1, 2, 4, 8}.
@@ -351,17 +319,6 @@ TEST(ParallelDiffTest, ParallelMaintenanceMatchesSerialRebuild) {
 // ---------------------------------------------------------------------------
 // SolveBatch: cross-thread-count identity + determinism regression
 // ---------------------------------------------------------------------------
-
-Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed,
-                            int num_threads) {
-  Dataset data = MakeIndependent(n, dim, seed);
-  QueryGenOptions qopts;
-  qopts.k_max = 5;
-  EngineOptions options;
-  options.num_threads = num_threads;
-  return IqEngine::Create(std::move(data), LinearForm::Identity(dim),
-                          MakeQueries(m, dim, seed + 1, qopts), options);
-}
 
 std::vector<BatchItem> MakeBatch(int n, int m) {
   std::vector<BatchItem> items;

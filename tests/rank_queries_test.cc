@@ -2,21 +2,11 @@
 
 #include <algorithm>
 
-#include "core/engine.h"
-#include "data/queries.h"
-#include "data/synthetic.h"
+#include "tests/test_world.h"
 #include "topk/topk.h"
 
 namespace iq {
 namespace {
-
-Result<IqEngine> MakeEngine(int n, int m, int dim, uint64_t seed) {
-  QueryGenOptions qopts;
-  qopts.k_max = 5;
-  return IqEngine::Create(MakeIndependent(n, dim, seed),
-                          LinearForm::Identity(dim),
-                          MakeQueries(m, dim, seed + 1, qopts));
-}
 
 TEST(RankQueriesTest, RankMatchesTopKPosition) {
   auto engine = MakeEngine(40, 20, 3, 130);

@@ -11,14 +11,6 @@
 namespace iq {
 namespace {
 
-std::vector<bool> Mask(const Dataset& data) {
-  std::vector<bool> mask(static_cast<size_t>(data.size()));
-  for (int i = 0; i < data.size(); ++i) {
-    mask[static_cast<size_t>(i)] = data.is_active(i);
-  }
-  return mask;
-}
-
 TEST(SubdomainIndexTest, BuildBasics) {
   TestWorld w = TestWorld::Linear(100, 60, 3, 1);
   EXPECT_EQ(w.index->kappa(), w.queries->max_k() + 1);
@@ -39,7 +31,7 @@ TEST(SubdomainIndexTest, BuildBasics) {
 
 TEST(SubdomainIndexTest, SignatureIsTheOrderedTopKappa) {
   TestWorld w = TestWorld::Linear(80, 40, 3, 2);
-  std::vector<bool> mask = Mask(*w.data);
+  const std::vector<bool>& mask = w.data->active();
   for (int q = 0; q < 40; ++q) {
     const Vec& weights = w.index->aug_weights(q);
     auto top = TopKScan(w.view->rows(), &mask, weights, w.index->kappa());
@@ -53,10 +45,7 @@ TEST(SubdomainIndexTest, SignatureIsTheOrderedTopKappa) {
 // k <= max_k.
 TEST(SubdomainIndexTest, SameSubdomainSameRanking) {
   TestWorld w = TestWorld::Linear(60, 80, 2, 3);
-  std::vector<bool> mask = Mask(*w.data);
-  for (int sd = 0; sd < static_cast<int>(w.index->num_subdomains()); ++sd) {
-    // Find the queries of some subdomain via the accessor of each query.
-  }
+  const std::vector<bool>& mask = w.data->active();
   for (int q1 = 0; q1 < 80; ++q1) {
     for (int q2 = q1 + 1; q2 < 80; ++q2) {
       if (w.index->subdomain_of(q1) != w.index->subdomain_of(q2)) continue;
@@ -72,7 +61,7 @@ TEST(SubdomainIndexTest, SameSubdomainSameRanking) {
 
 TEST(SubdomainIndexTest, ThresholdsMatchBruteForce) {
   TestWorld w = TestWorld::Linear(70, 50, 3, 4);
-  std::vector<bool> mask = Mask(*w.data);
+  const std::vector<bool>& mask = w.data->active();
   for (int target : {0, 7, 33}) {
     std::vector<double> t = w.index->HitThresholds(target);
     for (int q = 0; q < 50; ++q) {
@@ -87,7 +76,7 @@ TEST(SubdomainIndexTest, ThresholdsMatchBruteForce) {
 
 TEST(SubdomainIndexTest, HitCountMatchesBruteForce) {
   TestWorld w = TestWorld::Linear(50, 60, 3, 5);
-  std::vector<bool> mask = Mask(*w.data);
+  const std::vector<bool>& mask = w.data->active();
   for (int target = 0; target < 50; target += 7) {
     int expected = 0;
     for (int q = 0; q < 60; ++q) {

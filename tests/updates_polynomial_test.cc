@@ -10,21 +10,6 @@
 namespace iq {
 namespace {
 
-void ExpectEquivalentToRebuild(const TestWorld& w) {
-  auto rebuilt = SubdomainIndex::Build(w.view.get(), w.queries.get());
-  ASSERT_TRUE(rebuilt.ok());
-  for (int q = 0; q < w.queries->size(); ++q) {
-    if (!w.queries->is_active(q)) continue;
-    EXPECT_EQ(w.index->signature(w.index->subdomain_of(q)),
-              rebuilt->signature(rebuilt->subdomain_of(q)))
-        << "query " << q;
-  }
-  for (int i = 0; i < w.data->size(); ++i) {
-    if (!w.data->is_active(i)) continue;
-    EXPECT_EQ(w.index->HitCount(i), rebuilt->HitCount(i)) << "object " << i;
-  }
-}
-
 class PolynomialChurn : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(PolynomialChurn, InterleavedUpdatesMatchRebuild) {

@@ -8,24 +8,6 @@
 namespace iq {
 namespace {
 
-// Compares the live-updated index with a from-scratch rebuild: the occupied
-// partition, hit counts and thresholds must be identical.
-void ExpectEquivalentToRebuild(const TestWorld& w) {
-  auto rebuilt = SubdomainIndex::Build(w.view.get(), w.queries.get());
-  ASSERT_TRUE(rebuilt.ok());
-  for (int q = 0; q < w.queries->size(); ++q) {
-    if (!w.queries->is_active(q)) continue;
-    // Signatures (not subdomain ids, which are arbitrary) must match.
-    const auto& live = w.index->signature(w.index->subdomain_of(q));
-    const auto& fresh = rebuilt->signature(rebuilt->subdomain_of(q));
-    EXPECT_EQ(live, fresh) << "query " << q;
-  }
-  for (int i = 0; i < w.data->size(); ++i) {
-    if (!w.data->is_active(i)) continue;
-    EXPECT_EQ(w.index->HitCount(i), rebuilt->HitCount(i)) << "object " << i;
-  }
-}
-
 TEST(UpdatesTest, AddQueryMatchesRebuild) {
   TestWorld w = TestWorld::Linear(60, 40, 3, 51);
   Rng rng(52);
