@@ -1,9 +1,6 @@
 #include "core/combinatorial.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "util/logging.h"
+#include "core/greedy_step.h"
 #include "util/timer.h"
 
 namespace iq {
@@ -17,46 +14,27 @@ struct MultiState {
   std::vector<Vec> c_cur;               // current coefficients per target
   std::vector<IqOptions> options;       // per target
 
-  /// Union hit count: a query counts once no matter how many improved
-  /// targets hit it. Targets are tested with their own thresholds (each
-  /// excludes only itself from the competition, the paper's simplification).
-  int UnionHits() const {
-    const QuerySet& queries = contexts[0].queries();
-    int hits = 0;
-    for (int q = 0; q < queries.size(); ++q) {
-      if (!queries.is_active(q)) continue;
-      for (size_t t = 0; t < contexts.size(); ++t) {
-        if (contexts[t].HitBy(q, c_cur[t])) {
-          ++hits;
-          break;
-        }
-      }
+  /// True when some target hits query q, target `t_alt` at coefficients
+  /// `c_alt` and the others at their current ones. Targets are tested with
+  /// their own thresholds (each excludes only itself from the competition,
+  /// the paper's simplification).
+  bool UnionHitWith(int q, size_t t_alt, const Vec& c_alt) const {
+    for (size_t t = 0; t < contexts.size(); ++t) {
+      const Vec& c = (t == t_alt) ? c_alt : c_cur[t];
+      if (contexts[t].HitBy(q, c)) return true;
     }
-    return hits;
+    return false;
   }
 
-  /// Union hits if target t's coefficients were `c_alt`.
+  /// Union hit count if target `t_alt` had coefficients `c_alt`: a query
+  /// counts once no matter how many improved targets hit it.
   int UnionHitsWith(size_t t_alt, const Vec& c_alt) const {
     const QuerySet& queries = contexts[0].queries();
     int hits = 0;
     for (int q = 0; q < queries.size(); ++q) {
-      if (!queries.is_active(q)) continue;
-      for (size_t t = 0; t < contexts.size(); ++t) {
-        const Vec& c = (t == t_alt) ? c_alt : c_cur[t];
-        if (contexts[t].HitBy(q, c)) {
-          ++hits;
-          break;
-        }
-      }
+      if (queries.is_active(q) && UnionHitWith(q, t_alt, c_alt)) ++hits;
     }
     return hits;
-  }
-
-  bool UnionHit(int q) const {
-    for (size_t t = 0; t < contexts.size(); ++t) {
-      if (contexts[t].HitBy(q, c_cur[t])) return true;
-    }
-    return false;
   }
 
   double TotalCost() const {
@@ -66,14 +44,6 @@ struct MultiState {
     }
     return c;
   }
-};
-
-struct MultiCandidate {
-  size_t t = 0;
-  int q = -1;
-  Vec step;
-  double step_cost = 0.0;
-  int union_hits = 0;
 };
 
 Result<MultiState> InitState(const SubdomainIndex& index,
@@ -103,33 +73,31 @@ Result<MultiState> InitState(const SubdomainIndex& index,
   return st;
 }
 
-std::vector<MultiCandidate> BuildMultiCandidates(const MultiState& st,
-                                                 bool evaluate) {
-  std::vector<MultiCandidate> out;
+/// Every (target, un-hit query) step, priced with its union hit count.
+std::vector<StepCandidate> BuildMultiCandidates(const MultiState& st) {
+  std::vector<StepCandidate> out;
   const QuerySet& queries = st.contexts[0].queries();
   for (int q = 0; q < queries.size(); ++q) {
-    if (!queries.is_active(q) || st.UnionHit(q)) continue;
+    if (!queries.is_active(q) || st.UnionHitWith(q, 0, st.c_cur[0])) continue;
     for (size_t t = 0; t < st.contexts.size(); ++t) {
       auto sol = st.contexts[t].SolveCandidate(q, st.p_cur[t], st.s_total[t],
                                                st.options[t]);
       if (!sol.ok()) continue;
-      MultiCandidate cand;
+      StepCandidate cand;
       cand.t = t;
       cand.q = q;
       cand.step = std::move(sol->s);
       cand.step_cost = sol->cost;
-      if (evaluate) {
-        Vec c_alt = st.contexts[t].view().CoefficientsFor(
-            Add(st.p_cur[t], cand.step));
-        cand.union_hits = st.UnionHitsWith(t, c_alt);
-      }
+      Vec c_alt = st.contexts[t].view().CoefficientsFor(
+          Add(st.p_cur[t], cand.step));
+      cand.hits = st.UnionHitsWith(t, c_alt);
       out.push_back(std::move(cand));
     }
   }
   return out;
 }
 
-void Apply(MultiState* st, const MultiCandidate& cand) {
+void Apply(MultiState* st, const StepCandidate& cand) {
   AddInPlace(&st->s_total[cand.t], cand.step);
   st->p_cur[cand.t] = Add(st->p_cur[cand.t], cand.step);
   st->c_cur[cand.t] =
@@ -153,8 +121,40 @@ MultiIqResult Finish(const MultiState& st, const std::vector<int>& targets,
   return r;
 }
 
-double MultiRatio(const MultiCandidate& c) {
-  return c.step_cost / static_cast<double>(std::max(1, c.union_hits));
+/// The §5.1 greedy: the single-target loop's step rule over (target,
+/// query) steps priced by union hits, with the budget shared by all targets.
+Result<MultiIqResult> CombinatorialSearch(const SubdomainIndex& index,
+                                          const std::vector<int>& targets,
+                                          const SearchGoal& goal,
+                                          const std::vector<IqOptions>& options) {
+  IQ_RETURN_IF_ERROR(goal.Check());
+  WallTimer timer;
+  IQ_ASSIGN_OR_RETURN(MultiState st, InitState(index, targets, options));
+
+  const int hits_before = st.UnionHitsWith(0, st.c_cur[0]);
+  int cur_hits = hits_before;
+  const int max_iters = goal.IterationCap(st.contexts[0].queries().size());
+  auto fits_budget = [&](const StepCandidate& c) {
+    double new_total = st.TotalCost() -
+                       st.options[c.t].cost.Cost(st.s_total[c.t]) +
+                       st.options[c.t].cost.Cost(Add(st.s_total[c.t], c.step));
+    return new_total <= goal.beta;
+  };
+  int iter = 0;
+  while (!goal.Reached(cur_hits) && iter < max_iters) {
+    ++iter;
+    std::vector<StepCandidate> candidates = BuildMultiCandidates(st);
+    const StepCandidate* best = PickStep(candidates, StepRule::kBestRatio,
+                                         goal, cur_hits, fits_budget);
+    if (best == nullptr) break;
+    Apply(&st, *best);
+    cur_hits = best->hits;
+  }
+
+  MultiIqResult r =
+      Finish(st, targets, hits_before, cur_hits, goal.Met(cur_hits), iter);
+  r.seconds = timer.ElapsedSeconds();
+  return r;
 }
 
 }  // namespace
@@ -162,77 +162,15 @@ double MultiRatio(const MultiCandidate& c) {
 Result<MultiIqResult> CombinatorialMinCostIq(
     const SubdomainIndex& index, const std::vector<int>& targets, int tau,
     const std::vector<IqOptions>& options) {
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  WallTimer timer;
-  IQ_ASSIGN_OR_RETURN(MultiState st, InitState(index, targets, options));
-
-  const int hits_before = st.UnionHits();
-  int cur_hits = hits_before;
-  const int max_iters = DefaultMinCostIterations(tau);
-  int iter = 0;
-  bool reached = cur_hits >= tau;
-  while (!reached && iter < max_iters) {
-    ++iter;
-    std::vector<MultiCandidate> candidates = BuildMultiCandidates(st, true);
-    if (candidates.empty()) break;
-    // Step 2 of §5.1: best ratio, but avoid over-achieving tau.
-    const MultiCandidate* best = nullptr;
-    for (const MultiCandidate& c : candidates) {
-      if (best == nullptr || MultiRatio(c) < MultiRatio(*best)) best = &c;
-    }
-    if (best->union_hits >= tau) {
-      const MultiCandidate* cheapest = nullptr;
-      for (const MultiCandidate& c : candidates) {
-        if (c.union_hits >= tau &&
-            (cheapest == nullptr || c.step_cost < cheapest->step_cost)) {
-          cheapest = &c;
-        }
-      }
-      best = cheapest;
-    }
-    Apply(&st, *best);
-    cur_hits = best->union_hits;
-    reached = cur_hits >= tau;
-  }
-
-  MultiIqResult r = Finish(st, targets, hits_before, cur_hits, reached, iter);
-  r.seconds = timer.ElapsedSeconds();
-  return r;
+  return CombinatorialSearch(index, targets, SearchGoal::MinCost(tau),
+                             options);
 }
 
 Result<MultiIqResult> CombinatorialMaxHitIq(
     const SubdomainIndex& index, const std::vector<int>& targets, double beta,
     const std::vector<IqOptions>& options) {
-  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  WallTimer timer;
-  IQ_ASSIGN_OR_RETURN(MultiState st, InitState(index, targets, options));
-
-  const int hits_before = st.UnionHits();
-  int cur_hits = hits_before;
-  const int max_iters = st.contexts[0].queries().size() + 16;
-  int iter = 0;
-  while (iter < max_iters) {
-    ++iter;
-    std::vector<MultiCandidate> candidates = BuildMultiCandidates(st, true);
-    // Step 2 of §5.1 (max-hit): filter by the remaining shared budget.
-    const MultiCandidate* best = nullptr;
-    for (const MultiCandidate& c : candidates) {
-      double new_total = st.TotalCost() -
-                         st.options[c.t].cost.Cost(st.s_total[c.t]) +
-                         st.options[c.t].cost.Cost(Add(st.s_total[c.t], c.step));
-      if (new_total > beta) continue;
-      if (c.union_hits <= cur_hits) continue;
-      if (best == nullptr || MultiRatio(c) < MultiRatio(*best)) best = &c;
-    }
-    if (best == nullptr) break;
-    Apply(&st, *best);
-    cur_hits = best->union_hits;
-  }
-
-  MultiIqResult r =
-      Finish(st, targets, hits_before, cur_hits, /*reached=*/true, iter);
-  r.seconds = timer.ElapsedSeconds();
-  return r;
+  return CombinatorialSearch(index, targets, SearchGoal::MaxHit(beta),
+                             options);
 }
 
 }  // namespace iq

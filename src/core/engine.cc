@@ -48,84 +48,46 @@ struct EngineMetrics {
   }
 };
 
-/// Solves one improvement query against a read-only (index, view, queries)
-/// snapshot. Shared by the single-target MinCost/MaxHit entry points and the
-/// SolveBatch workers; takes raw pointers into a pinned epoch, so workers
-/// run it with no lock at all — the pin keeps the epoch immutable.
-Result<IqResult> SolveOne(const SubdomainIndex* index,
-                          const FunctionView* view, const QuerySet* queries,
-                          const BatchItem& item, IqScheme scheme) {
-  IQ_ASSIGN_OR_RETURN(IqContext ctx,
-                      IqContext::FromIndex(index, item.target));
+/// One solve with its flight-recorder pair: a solve_start event, SolveOne,
+/// and a solve_end event carrying the per-call EvalBreakdown (success) or
+/// the failure status (error). Both carry the pinned epoch and the solve's
+/// causal trace id, so a slow-trace id from /tracez greps straight into the
+/// flight-recorder JSONL.
+Result<IqResult> SolveLogged(const char* op, const SubdomainIndex* index,
+                             const BatchItem& item, IqScheme scheme,
+                             uint64_t epoch, uint64_t trace_id) {
   const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
-  switch (scheme) {
-    case IqScheme::kEfficient: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? MinCostIq(ctx, &ese, item.tau, item.options)
-                      : MaxHitIq(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kRta: {
-      RtaStrategyEvaluator rta(view, queries, item.target);
-      return min_cost ? MinCostIq(ctx, &rta, item.tau, item.options)
-                      : MaxHitIq(ctx, &rta, item.beta, item.options);
-    }
-    case IqScheme::kGreedy: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? GreedyMinCost(ctx, &ese, item.tau, item.options)
-                      : GreedyMaxHit(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kRandom: {
-      EseEvaluator ese(index, item.target);
-      return min_cost ? RandomMinCost(ctx, &ese, item.tau, item.options)
-                      : RandomMaxHit(ctx, &ese, item.beta, item.options);
-    }
-    case IqScheme::kExhaustive: {
-      ExhaustiveOptions ex;
-      ex.iq = item.options;
-      return min_cost ? ExhaustiveMinCost(ctx, item.tau, ex)
-                      : ExhaustiveMaxHit(ctx, item.beta, ex);
-    }
-  }
-  return Status::InvalidArgument("unknown scheme");
-}
-
-/// Flight-recorder tail of every solve path: one solve_end event carrying
-/// the per-call EvalBreakdown (success) or the failure status (error), plus
-/// the epoch the solve was pinned to.
-void RecordSolveEnd(const char* op, IqScheme scheme, int target,
-                    const Result<IqResult>& r, double seconds, uint64_t epoch,
-                    uint64_t trace_id) {
+  Event start = EventLog::SolveStart(op, IqSchemeName(scheme), item.target,
+                                     min_cost ? item.tau : 0,
+                                     min_cost ? 0.0 : item.beta, epoch);
+  start.trace_id = trace_id;
+  EventLog::Global().Record(std::move(start));
+  WallTimer timer;
+  Result<IqResult> r = SolveOne(index, item, scheme);
+  const double seconds = timer.ElapsedSeconds();
   Event e;
   if (r.ok()) {
     const EvalBreakdown& b = r->breakdown;
-    e = EventLog::SolveEnd(op, IqSchemeName(scheme), target, /*ok=*/true,
+    e = EventLog::SolveEnd(op, IqSchemeName(scheme), item.target, /*ok=*/true,
                            r->cost, r->hits_before, r->hits_after,
                            b.iterations, b.candidates_generated,
                            b.candidates_evaluated, b.queries_rescored,
                            b.queries_reused, seconds, epoch);
   } else {
-    e = EventLog::SolveEnd(op, IqSchemeName(scheme), target, /*ok=*/false,
-                           0.0, 0, 0, 0, 0, 0, 0, 0, seconds, epoch);
+    e = EventLog::SolveEnd(op, IqSchemeName(scheme), item.target,
+                           /*ok=*/false, 0.0, 0, 0, 0, 0, 0, 0, 0, seconds,
+                           epoch);
     e.note = r.status().ToString();
   }
   e.trace_id = trace_id;
   EventLog::Global().Record(std::move(e));
+  return r;
 }
 
-/// SolveStart stamped with the solve's causal trace id, so a slow-trace id
-/// from /tracez greps straight into the flight-recorder JSONL.
-void RecordSolveStart(const char* op, IqScheme scheme, int target, int tau,
-                      double beta, uint64_t epoch, uint64_t trace_id) {
-  Event e =
-      EventLog::SolveStart(op, IqSchemeName(scheme), target, tau, beta, epoch);
-  e.trace_id = trace_id;
-  EventLog::Global().Record(std::move(e));
-}
-
-/// Every number the engine stores must be finite. A NaN or infinite weight,
-/// attribute or strategy component would otherwise trip an internal check
-/// (an infinite weight aborts in opt/bounds) or silently poison every
-/// ranking it touches (a NaN score never compares below a threshold).
+/// Every number the engine stores must be finite (QuerySet::Add checks the
+/// query weights). A NaN or infinite attribute or strategy component would
+/// otherwise trip an internal check or silently poison every ranking it
+/// touches (a NaN score never compares below a threshold).
 Status CheckFinite(const Vec& v, const char* what) {
   for (double x : v) {
     if (!std::isfinite(x)) {
@@ -179,6 +141,42 @@ Result<std::vector<std::pair<int, int>>> ReverseKRanksOn(
 
 }  // namespace
 
+Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
+                          IqScheme scheme) {
+  IQ_ASSIGN_OR_RETURN(IqContext ctx,
+                      IqContext::FromIndex(index, item.target));
+  const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
+  switch (scheme) {
+    case IqScheme::kEfficient: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? MinCostIq(ctx, &ese, item.tau, item.options)
+                      : MaxHitIq(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kRta: {
+      RtaStrategyEvaluator rta(&index->view(), &index->queries(), item.target);
+      return min_cost ? MinCostIq(ctx, &rta, item.tau, item.options)
+                      : MaxHitIq(ctx, &rta, item.beta, item.options);
+    }
+    case IqScheme::kGreedy: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? GreedyMinCost(ctx, &ese, item.tau, item.options)
+                      : GreedyMaxHit(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kRandom: {
+      EseEvaluator ese(index, item.target);
+      return min_cost ? RandomMinCost(ctx, &ese, item.tau, item.options)
+                      : RandomMaxHit(ctx, &ese, item.beta, item.options);
+    }
+    case IqScheme::kExhaustive: {
+      ExhaustiveOptions ex;
+      ex.iq = item.options;
+      return min_cost ? ExhaustiveMinCost(ctx, item.tau, ex)
+                      : ExhaustiveMaxHit(ctx, item.beta, ex);
+    }
+  }
+  return Status::InvalidArgument("unknown scheme");
+}
+
 const char* IqSchemeName(IqScheme scheme) {
   switch (scheme) {
     case IqScheme::kEfficient:
@@ -204,9 +202,6 @@ Result<IqEngine> IqEngine::Create(Dataset dataset, LinearForm form,
   for (int i = 0; i < dataset.size(); ++i) {
     if (!dataset.is_active(i)) continue;
     IQ_RETURN_IF_ERROR(CheckFinite(dataset.attrs(i), "object attributes"));
-  }
-  for (const TopKQuery& q : queries) {
-    IQ_RETURN_IF_ERROR(CheckFinite(q.weights, "query weights"));
   }
   auto dataset_ptr = std::make_shared<Dataset>(std::move(dataset));
   auto queries_ptr = std::make_shared<QuerySet>(form.num_weights());
@@ -344,51 +339,42 @@ Result<int> IqEngine::BestWorkloadRank(int object) const {
 Result<IqResult> IqEngine::MinCost(int target, int tau,
                                    const IqOptions& options,
                                    IqScheme scheme) const {
-  // Root span of the solve (DESIGN.md §14): allocates the trace id every
-  // span below — including chunk bodies on pool workers — inherits, and
-  // decides keep/discard against the slow-trace threshold at scope exit.
-  IQ_TRACE_ROOT_SCOPE(root, "IqEngine::MinCost", target, tau);
-  ScopedTimer latency(EngineMetrics::Get().min_cost_nanos);
-  EpochHandle snap = Snapshot();
   BatchItem item;
   item.kind = BatchItem::Kind::kMinCost;
   item.target = target;
   item.tau = tau;
   item.options = options;
-  // Single-target calls parallelize *inside* the search (candidate
-  // generation + ESE evaluation); see SolveBatch for across-target fan-out.
-  item.options.pool = pool_.get();
-  RecordSolveStart("MinCost", scheme, target, tau, 0.0, snap.epoch(),
-                   root.trace_id());
-  Result<IqResult> r = SolveOne(snap.index_ptr(), snap.view_ptr(),
-                                snap.queries_ptr(), item, scheme);
-  RecordSolveEnd("MinCost", scheme, target, r,
-                 static_cast<double>(latency.ElapsedNanos()) / 1e9,
-                 snap.epoch(), root.trace_id());
-  if (!r.ok()) root.NoteError();
-  NoteOutcome(r.ok() ? Status::Ok() : r.status(), root.trace_id());
-  return r;
+  return SolveSingle(std::move(item), scheme);
 }
 
 Result<IqResult> IqEngine::MaxHit(int target, double beta,
                                   const IqOptions& options,
                                   IqScheme scheme) const {
-  IQ_TRACE_ROOT_SCOPE(root, "IqEngine::MaxHit", target);
-  ScopedTimer latency(EngineMetrics::Get().max_hit_nanos);
-  EpochHandle snap = Snapshot();
   BatchItem item;
   item.kind = BatchItem::Kind::kMaxHit;
   item.target = target;
   item.beta = beta;
   item.options = options;
+  return SolveSingle(std::move(item), scheme);
+}
+
+Result<IqResult> IqEngine::SolveSingle(BatchItem item, IqScheme scheme) const {
+  const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
+  // Root span of the solve (DESIGN.md §14): allocates the trace id every
+  // span below — including chunk bodies on pool workers — inherits, and
+  // decides keep/discard against the slow-trace threshold at scope exit.
+  IQ_TRACE_ROOT_SCOPE(root, min_cost ? "IqEngine::MinCost" : "IqEngine::MaxHit",
+                      item.target,
+                      min_cost ? item.tau : TraceEvent::kNoArg);
+  ScopedTimer latency(min_cost ? EngineMetrics::Get().min_cost_nanos
+                               : EngineMetrics::Get().max_hit_nanos);
+  EpochHandle snap = Snapshot();
+  // Single-target calls parallelize *inside* the search (candidate
+  // generation + ESE evaluation); see SolveBatch for across-target fan-out.
   item.options.pool = pool_.get();
-  RecordSolveStart("MaxHit", scheme, target, 0, beta, snap.epoch(),
-                   root.trace_id());
-  Result<IqResult> r = SolveOne(snap.index_ptr(), snap.view_ptr(),
-                                snap.queries_ptr(), item, scheme);
-  RecordSolveEnd("MaxHit", scheme, target, r,
-                 static_cast<double>(latency.ElapsedNanos()) / 1e9,
-                 snap.epoch(), root.trace_id());
+  Result<IqResult> r =
+      SolveLogged(min_cost ? "MinCost" : "MaxHit", snap.index_ptr(), item,
+                  scheme, snap.epoch(), root.trace_id());
   if (!r.ok()) root.NoteError();
   NoteOutcome(r.ok() ? Status::Ok() : r.status(), root.trace_id());
   return r;
@@ -416,14 +402,12 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
         Status::InvalidArgument("SolveBatchOn requires a pinned epoch"),
         batch_root.trace_id());
   }
-  // Raw read-only pointers into the pinned epoch for the workers. The pin
+  // A raw read-only pointer into the pinned epoch for the workers. The pin
   // (held by the caller for SolveBatchOn, by our Snapshot() temporary for
   // SolveBatch) keeps the epoch immutable and alive for the whole parallel
   // region; concurrent mutators publish *newer* epochs and never touch this
   // one, so the workers' lock-free reads cannot race a write.
   const SubdomainIndex* index = snap.index_ptr();
-  const FunctionView* view = snap.view_ptr();
-  const QuerySet* queries = snap.queries_ptr();
   const uint64_t epoch = snap.epoch();
   // Flight-recorder saturation signal: far more items than workers means
   // the batch will queue behind itself for most of the call.
@@ -443,7 +427,6 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
           // serially (a nested ParallelFor would run inline anyway, this
           // just makes the contract explicit and thread-count-independent).
           item.options.pool = nullptr;
-          const bool min_cost = item.kind == BatchItem::Kind::kMinCost;
           // Per-item root span, opened on whichever worker claimed the
           // item. The batch root's context arrived with the chunk, so this
           // joins the batch's trace as a child span rather than starting a
@@ -453,16 +436,8 @@ Result<std::vector<IqResult>> IqEngine::SolveBatchOn(
           // Per-item flight-recorder events, recorded from the worker
           // thread that solved the item (the lock striping keeps the
           // concurrent appends cheap — see tests/event_log_test.cc).
-          RecordSolveStart("SolveBatch", scheme, item.target,
-                           min_cost ? item.tau : 0,
-                           min_cost ? 0.0 : item.beta, epoch,
-                           item_root.trace_id());
-          WallTimer item_timer;
-          Result<IqResult> r = SolveOne(index, view, queries, item, scheme);
-          RecordSolveEnd("SolveBatch", scheme, item.target, r,
-                         item_timer.ElapsedSeconds(), epoch,
-                         item_root.trace_id());
-          slots[static_cast<size_t>(i)] = std::move(r);
+          slots[static_cast<size_t>(i)] = SolveLogged(
+              "SolveBatch", index, item, scheme, epoch, item_root.trace_id());
         }
       },
       "engine.solve_batch");
@@ -538,7 +513,6 @@ void IqEngine::PublishLocked(Delta delta) {
 }
 
 Result<int> IqEngine::AddQuery(TopKQuery q) {
-  IQ_RETURN_IF_ERROR(CheckFinite(q.weights, "query weights"));
   MutexLock lock(&mu_);
   Delta delta = BeginDelta(DeltaKind::kQueries);
   IQ_ASSIGN_OR_RETURN(int id, delta.mutable_queries->Add(std::move(q)));

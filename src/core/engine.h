@@ -81,6 +81,13 @@ struct BatchItem {
   IqOptions options;
 };
 
+/// Solves one improvement query with `scheme` against a read-only index,
+/// over the view and queries the index was built on. Locks nothing:
+/// IqEngine runs it against a pinned epoch, the benches against a
+/// Workload's index. Unlike the engine, it uses any pool in item.options.
+Result<IqResult> SolveOne(const SubdomainIndex* index, const BatchItem& item,
+                          IqScheme scheme);
+
 /// The analytic tool's core facade (§6.1): owns the dataset, the query
 /// workload, the objects-as-functions view and the subdomain index, and
 /// exposes improvement queries plus live data maintenance. This is the
@@ -273,6 +280,10 @@ class IqEngine {
   /// ization point of the mutation; the superseded epoch retires when its
   /// last pin drops. Also advances the iq.index.epoch gauge.
   void PublishLocked(Delta delta) IQ_REQUIRES(mu_);
+
+  /// MinCost and MaxHit: one traced, logged solve of `item` on the engine
+  /// pool against the current epoch.
+  Result<IqResult> SolveSingle(BatchItem item, IqScheme scheme) const;
 
   /// Flight-recorder post-mortem hook: on a non-OK status, records an error
   /// event (stamped with the failing solve's causal trace id when tracing

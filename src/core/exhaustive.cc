@@ -130,13 +130,7 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
   // Queries hittable no matter what (t = inf) reduce the requirement.
   int needed = tau - hs.always_hit;
   IqResult r;
-  r.hits_before = 0;
-  for (int q = 0; q < ctx.queries().size(); ++q) {
-    if (ctx.queries().is_active(q) &&
-        ctx.HitBy(q, ctx.view().coeffs(ctx.target()))) {
-      ++r.hits_before;
-    }
-  }
+  r.hits_before = ctx.CountHitsBy(ctx.view().coeffs(ctx.target()));
   if (needed <= 0) {
     r.strategy = Zeros(dim);
     r.hits_after = r.hits_before;
@@ -175,10 +169,7 @@ Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
   r.cost = best_cost;
   Vec c_new = ctx.view().CoefficientsFor(
       Add(ctx.view().dataset().attrs(ctx.target()), best_strategy));
-  r.hits_after = 0;
-  for (int q = 0; q < ctx.queries().size(); ++q) {
-    if (ctx.queries().is_active(q) && ctx.HitBy(q, c_new)) ++r.hits_after;
-  }
+  r.hits_after = ctx.CountHitsBy(c_new);
   r.reached_goal = r.hits_after >= tau;
   r.seconds = timer.ElapsedSeconds();
   return r;
@@ -208,13 +199,7 @@ Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
   }
 
   IqResult r;
-  r.hits_before = 0;
-  for (int q = 0; q < ctx.queries().size(); ++q) {
-    if (ctx.queries().is_active(q) &&
-        ctx.HitBy(q, ctx.view().coeffs(ctx.target()))) {
-      ++r.hits_before;
-    }
-  }
+  r.hits_before = ctx.CountHitsBy(ctx.view().coeffs(ctx.target()));
 
   Vec best_strategy = Zeros(dim);
   double best_cost = 0.0;
@@ -244,10 +229,7 @@ Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
   r.cost = best_cost;
   Vec c_new = ctx.view().CoefficientsFor(
       Add(ctx.view().dataset().attrs(ctx.target()), best_strategy));
-  r.hits_after = 0;
-  for (int q = 0; q < ctx.queries().size(); ++q) {
-    if (ctx.queries().is_active(q) && ctx.HitBy(q, c_new)) ++r.hits_after;
-  }
+  r.hits_after = ctx.CountHitsBy(c_new);
   r.reached_goal = true;
   r.seconds = timer.ElapsedSeconds();
   return r;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/greedy_step.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -35,14 +36,6 @@ AdjustBox StepBox(const AdjustBox& total_box, const Vec& s_total) {
   }
   return step;
 }
-
-/// One candidate: the step that hits query q, plus its evaluation.
-struct Candidate {
-  int q = -1;
-  Vec step;
-  double step_cost = 0.0;
-  int hits = 0;  // H(p_cur + step)
-};
 
 /// Cached pointers into the global registry; all increments are lock-free.
 struct SearchMetrics {
@@ -152,6 +145,14 @@ bool IqContext::HitBy(int q, const Vec& c) const {
                         thresholds_[static_cast<size_t>(q)]);
 }
 
+int IqContext::CountHitsBy(const Vec& c) const {
+  int hits = 0;
+  for (int q = 0; q < queries_->size(); ++q) {
+    if (queries_->is_active(q) && HitBy(q, c)) ++hits;
+  }
+  return hits;
+}
+
 Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
                                               const Vec& s_total,
                                               const IqOptions& options) const {
@@ -220,8 +221,9 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
 
 namespace {
 
-/// Generates and evaluates all candidates for the current iteration.
-/// Returns candidates sorted by ascending cost-per-hit ratio.
+/// Generates and evaluates all candidates for the current iteration, in
+/// ascending query-id order (cheapest first once candidate_eval_limit
+/// prunes them).
 ///
 /// Parallel execution (DESIGN.md §8): when options.pool is set, the
 /// per-query candidate solves — and, for thread-safe evaluators, the
@@ -230,15 +232,16 @@ namespace {
 /// order afterwards, so the returned vector is bit-identical to the serial
 /// path for every thread count (the deterministic reduction the
 /// differential tests pin down).
-std::vector<Candidate> BuildCandidates(const IqContext& ctx,
-                                       StrategyEvaluator* evaluator,
-                                       const Vec& p_cur, const Vec& s_total,
-                                       const Vec& c_cur,
-                                       const IqOptions& options,
-                                       bool evaluate_hits,
-                                       EvalBreakdown* bd) {
+std::vector<StepCandidate> BuildCandidates(const IqContext& ctx,
+                                           StrategyEvaluator* evaluator,
+                                           const Vec& p_cur,
+                                           const Vec& s_total,
+                                           const Vec& c_cur,
+                                           const IqOptions& options,
+                                           bool evaluate_hits,
+                                           EvalBreakdown* bd) {
   IQ_TRACE_SCOPE_ARG("BuildCandidates", ctx.target());
-  std::vector<Candidate> out;
+  std::vector<StepCandidate> out;
   const QuerySet& queries = ctx.queries();
   WallTimer solver_timer;
   // Queries still worth hitting, in ascending id order (the slot order the
@@ -249,7 +252,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
     if (ctx.HitBy(q, c_cur)) continue;  // already hit
     pending.push_back(q);
   }
-  std::vector<Candidate> slots(pending.size());
+  std::vector<StepCandidate> slots(pending.size());
   if (options.pool != nullptr && pending.size() > 1) {
     SearchMetrics::Get().parallel_solve_batches->Increment();
     if (static_cast<int64_t>(pending.size()) >
@@ -266,7 +269,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
           const int q = pending[static_cast<size_t>(i)];
           auto sol = ctx.SolveCandidate(q, p_cur, s_total, options);
           if (!sol.ok()) continue;  // slot stays q == -1
-          Candidate& cand = slots[static_cast<size_t>(i)];
+          StepCandidate& cand = slots[static_cast<size_t>(i)];
           cand.q = q;
           cand.step = std::move(sol->s);
           cand.step_cost = sol->cost;
@@ -274,7 +277,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
       },
       "greedy.candidate_solve");
   out.reserve(slots.size());
-  for (Candidate& cand : slots) {
+  for (StepCandidate& cand : slots) {
     if (cand.q < 0) continue;
     // The merged slots keep the serial path's ascending query-id order.
     IQ_DCHECK(out.empty() || out.back().q < cand.q);
@@ -292,10 +295,10 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
       static_cast<int>(out.size()) > options.candidate_eval_limit) {
     const int limit = options.candidate_eval_limit;
     std::sort(out.begin(), out.end(),
-              [](const Candidate& a, const Candidate& b) {
+              [](const StepCandidate& a, const StepCandidate& b) {
                 return a.step_cost < b.step_cost;
               });
-    std::vector<Candidate> kept;
+    std::vector<StepCandidate> kept;
     kept.reserve(static_cast<size_t>(limit));
     const int cheap = limit / 2;
     for (int i = 0; i < cheap; ++i) kept.push_back(std::move(out[static_cast<size_t>(i)]));
@@ -325,7 +328,7 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
     ParallelForOrSerial(eval_pool, static_cast<int64_t>(out.size()),
                         [&](int64_t begin, int64_t end) {
                           for (int64_t i = begin; i < end; ++i) {
-                            Candidate& cand = out[static_cast<size_t>(i)];
+                            StepCandidate& cand = out[static_cast<size_t>(i)];
                             Vec c_cand = ctx.view().CoefficientsFor(
                                 Add(p_cur, cand.step));
                             cand.hits = evaluator->HitsForCoeffs(c_cand);
@@ -338,10 +341,6 @@ std::vector<Candidate> BuildCandidates(const IqContext& ctx,
     SearchMetrics::Get().candidates_evaluated->Increment(out.size());
   }
   return out;
-}
-
-double Ratio(const Candidate& c) {
-  return c.step_cost / static_cast<double>(std::max(1, c.hits));
 }
 
 /// Snaps the strategy onto the per-attribute grid of options.granularity
@@ -439,201 +438,92 @@ class SearchCall {
   const size_t calls_, rescored_, reused_;
 };
 
+/// Algorithms 3 and 4 as one loop: each iteration solves the cheapest step
+/// to every un-hit query, picks one by `rule` (PickStep) and applies it,
+/// until `goal` is reached, no step is admissible or the iteration cap is
+/// hit. The Greedy rule evaluates no candidate: it counts H once, after its
+/// step.
+Result<IqResult> ImprovementSearch(const IqContext& ctx,
+                                   StrategyEvaluator* evaluator,
+                                   const SearchGoal& goal, StepRule rule,
+                                   const IqOptions& options) {
+  IQ_RETURN_IF_ERROR(goal.Check());
+  const int dim = ctx.view().dataset().dim();
+  IQ_RETURN_IF_ERROR(CheckIqOptions(options, dim));
+  SearchCall call(*evaluator);
+  EvalBreakdown& bd = call.bd;
+  const bool best_ratio = rule == StepRule::kBestRatio;
+
+  Vec s_total = Zeros(dim);
+  Vec p_cur = ctx.view().dataset().attrs(ctx.target());
+  Vec c_cur = ctx.view().coeffs(ctx.target());
+  int cur_hits = evaluator->base_hits();
+  const int hits_before = cur_hits;
+  const int max_iters = options.max_iterations > 0
+                            ? options.max_iterations
+                            : goal.IterationCap(ctx.queries().size());
+  auto fits_budget = [&](const StepCandidate& c) {
+    return options.cost.Cost(Add(s_total, c.step)) <= goal.beta;
+  };
+
+  int iter = 0;
+  while (!goal.Reached(cur_hits) && iter < max_iters) {
+    ++iter;
+    std::vector<StepCandidate> candidates =
+        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
+                        /*evaluate_hits=*/best_ratio, &bd);
+    IQ_TRACE_SCOPE("greedy.select_apply");
+    const StepCandidate* best =
+        PickStep(candidates, rule, goal, cur_hits, fits_budget);
+    if (best == nullptr) break;
+    AddInPlace(&s_total, best->step);
+    p_cur = Add(p_cur, best->step);
+    c_cur = ctx.view().CoefficientsFor(p_cur);
+    int new_hits = best->hits;
+    if (!best_ratio) {
+      WallTimer eval_timer;
+      new_hits = evaluator->HitsForCoeffs(c_cur);
+      bd.eval_seconds += eval_timer.ElapsedSeconds();
+    } else if (new_hits <= cur_hits && NormL2(best->step) < 1e-15) {
+      break;  // stuck: a zero step that gains nothing
+    }
+    cur_hits = new_hits;
+  }
+
+  ApplyGranularity(ctx, evaluator, options, goal.min_cost ? kInf : goal.beta,
+                   &s_total, &cur_hits);
+  return call.Finish(s_total, options, hits_before, cur_hits,
+                     goal.Met(cur_hits), iter);
+}
+
 }  // namespace
 
 Result<IqResult> MinCostIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                            int tau, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG2("MinCostIq", ctx.target(), tau);
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
-  SearchCall call(*evaluator);
-  EvalBreakdown& bd = call.bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : DefaultMinCostIterations(tau);
-
-  int iter = 0;
-  bool reached = cur_hits >= tau;
-  while (!reached && iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates = BuildCandidates(
-        ctx, evaluator, p_cur, s_total, c_cur, options, /*evaluate_hits=*/true, &bd);
-    if (candidates.empty()) break;
-
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (best == nullptr || Ratio(c) < Ratio(*best)) best = &c;
-    }
-    if (best->hits >= tau) {
-      // Algorithm 3, lines 10-13: once the goal is reachable this round,
-      // take the cheapest candidate that reaches it (avoid over-achieving).
-      const Candidate* cheapest = nullptr;
-      for (const Candidate& c : candidates) {
-        if (c.hits >= tau &&
-            (cheapest == nullptr || c.step_cost < cheapest->step_cost)) {
-          cheapest = &c;
-        }
-      }
-      best = cheapest;
-    }
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    int new_hits = best->hits;
-    if (new_hits <= cur_hits && NormL2(best->step) < 1e-15) break;  // stuck
-    cur_hits = new_hits;
-    reached = cur_hits >= tau;
-  }
-
-  ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-  reached = cur_hits >= tau;
-  return call.Finish(s_total, options, hits_before, cur_hits, reached, iter);
+  return ImprovementSearch(ctx, evaluator, SearchGoal::MinCost(tau),
+                           StepRule::kBestRatio, options);
 }
 
 Result<IqResult> MaxHitIq(const IqContext& ctx, StrategyEvaluator* evaluator,
                           double beta, const IqOptions& options) {
   IQ_TRACE_SCOPE_ARG("MaxHitIq", ctx.target());
-  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
-  SearchCall call(*evaluator);
-  EvalBreakdown& bd = call.bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : ctx.queries().size() + 16;
-
-  int iter = 0;
-  while (iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates = BuildCandidates(
-        ctx, evaluator, p_cur, s_total, c_cur, options, /*evaluate_hits=*/true, &bd);
-    // Keep only candidates affordable under the cumulative budget.
-    std::vector<Candidate> affordable;
-    for (Candidate& c : candidates) {
-      if (options.cost.Cost(Add(s_total, c.step)) <= beta) {
-        affordable.push_back(std::move(c));
-      }
-    }
-    if (affordable.empty()) break;
-
-    // Best cost-per-hit among affordable candidates that do not lose hits.
-    const Candidate* best = nullptr;
-    for (const Candidate& c : affordable) {
-      if (c.hits <= cur_hits) continue;  // must improve
-      if (best == nullptr || Ratio(c) < Ratio(*best)) best = &c;
-    }
-    if (best == nullptr) break;
-
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    cur_hits = best->hits;
-  }
-
-  ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  return call.Finish(s_total, options, hits_before, cur_hits,
-                     /*reached_goal=*/true, iter);
+  return ImprovementSearch(ctx, evaluator, SearchGoal::MaxHit(beta),
+                           StepRule::kBestRatio, options);
 }
 
 Result<IqResult> GreedyMinCost(const IqContext& ctx,
                                StrategyEvaluator* evaluator, int tau,
                                const IqOptions& options) {
-  if (tau < 1) return Status::InvalidArgument("tau must be >= 1");
-  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
-  SearchCall call(*evaluator);
-  EvalBreakdown& bd = call.bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : DefaultMinCostIterations(tau);
-
-  int iter = 0;
-  bool reached = cur_hits >= tau;
-  while (!reached && iter < max_iters) {
-    ++iter;
-    // Cheapest single query, no hit evaluation of alternatives.
-    std::vector<Candidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/false, &bd);
-    if (candidates.empty()) break;
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (best == nullptr || c.step_cost < best->step_cost) best = &c;
-    }
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    WallTimer eval_timer;
-    cur_hits = evaluator->HitsForCoeffs(c_cur);
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
-    reached = cur_hits >= tau;
-  }
-
-  ApplyGranularity(ctx, evaluator, options, kInf, &s_total, &cur_hits);
-  reached = cur_hits >= tau;
-  return call.Finish(s_total, options, hits_before, cur_hits, reached, iter);
+  return ImprovementSearch(ctx, evaluator, SearchGoal::MinCost(tau),
+                           StepRule::kCheapest, options);
 }
 
 Result<IqResult> GreedyMaxHit(const IqContext& ctx,
                               StrategyEvaluator* evaluator, double beta,
                               const IqOptions& options) {
-  if (!(beta >= 0)) return Status::InvalidArgument("budget must be >= 0");
-  IQ_RETURN_IF_ERROR(CheckIqOptions(options, ctx.view().dataset().dim()));
-  SearchCall call(*evaluator);
-  EvalBreakdown& bd = call.bd;
-  const int dim = ctx.view().dataset().dim();
-  const int target = ctx.target();
-
-  Vec s_total = Zeros(dim);
-  Vec p_cur = ctx.view().dataset().attrs(target);
-  Vec c_cur = ctx.view().coeffs(target);
-  int cur_hits = evaluator->base_hits();
-  const int hits_before = cur_hits;
-  int max_iters = options.max_iterations > 0 ? options.max_iterations
-                                             : ctx.queries().size() + 16;
-
-  int iter = 0;
-  while (iter < max_iters) {
-    ++iter;
-    std::vector<Candidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/false, &bd);
-    const Candidate* best = nullptr;
-    for (const Candidate& c : candidates) {
-      if (options.cost.Cost(Add(s_total, c.step)) > beta) continue;
-      if (best == nullptr || c.step_cost < best->step_cost) best = &c;
-    }
-    if (best == nullptr) break;
-    AddInPlace(&s_total, best->step);
-    p_cur = Add(p_cur, best->step);
-    c_cur = ctx.view().CoefficientsFor(p_cur);
-    WallTimer eval_timer;
-    cur_hits = evaluator->HitsForCoeffs(c_cur);
-    bd.eval_seconds += eval_timer.ElapsedSeconds();
-  }
-
-  ApplyGranularity(ctx, evaluator, options, beta, &s_total, &cur_hits);
-  return call.Finish(s_total, options, hits_before, cur_hits,
-                     /*reached_goal=*/true, iter);
+  return ImprovementSearch(ctx, evaluator, SearchGoal::MaxHit(beta),
+                           StepRule::kCheapest, options);
 }
 
 namespace {

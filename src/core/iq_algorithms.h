@@ -119,6 +119,9 @@ class IqContext {
   /// True when query q is hit by the improved coefficient vector c.
   bool HitBy(int q, const Vec& c) const;
 
+  /// Number of active queries hit by the coefficient vector c.
+  int CountHitsBy(const Vec& c) const;
+
   /// Cheapest step from `p_cur` (the target after the strategies applied so
   /// far) that makes the object hit query q; bounds are enforced on the
   /// cumulative strategy `s_total + step`. Closed-form for linear utilities,

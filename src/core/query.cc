@@ -1,6 +1,7 @@
 #include "core/query.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/string_util.h"
 
@@ -13,6 +14,13 @@ Result<int> QuerySet::Add(TopKQuery q) {
                   num_weights_));
   }
   if (q.k < 1) return Status::InvalidArgument("k must be >= 1");
+  for (double w : q.weights) {
+    // A NaN weight never ranks anything; an infinite one aborts the
+    // candidate solver's box setup.
+    if (!std::isfinite(w)) {
+      return Status::InvalidArgument("query weights must be finite");
+    }
+  }
   queries_.push_back(std::move(q));
   active_.push_back(true);
   ++num_active_;

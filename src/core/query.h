@@ -35,7 +35,8 @@ class QuerySet {
   /// Active flag per slot (size() entries).
   const std::vector<bool>& active() const { return active_; }
 
-  /// Appends a query; returns its id. Error on weight-length or k mismatch.
+  /// Appends a query; returns its id. InvalidArgument on a weight-length
+  /// mismatch, k < 1 or a non-finite weight.
   Result<int> Add(TopKQuery q);
 
   Status Remove(int j);

@@ -1,5 +1,7 @@
 #include "data/io.h"
 
+#include <limits>
+
 #include "util/csv.h"
 #include "util/string_util.h"
 
@@ -53,7 +55,9 @@ Result<std::vector<TopKQuery>> LoadQueriesCsv(const std::string& path,
   for (const auto& row : csv.rows) {
     TopKQuery q;
     IQ_ASSIGN_OR_RETURN(int64_t k, ParseInt(row[static_cast<size_t>(k_col)]));
-    if (k < 1) return Status::InvalidArgument("k must be >= 1");
+    if (k < 1 || k > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("k must be in [1, INT_MAX]");
+    }
     q.k = static_cast<int>(k);
     q.weights.reserve(w_cols.size());
     for (int c : w_cols) {

@@ -95,15 +95,27 @@ TEST(CombinatorialTest, PerTargetOptions) {
 }
 
 TEST(CombinatorialTest, SingleTargetMatchesPlainMinCost) {
+  // Both searches share one step rule, so with one target they take the
+  // same steps for either goal; the shared budget is that target's cost.
   TestWorld w = TestWorld::Linear(70, 50, 3, 44);
   const int target = 3;
-  auto multi = CombinatorialMinCostIq(*w.index, {target}, 12, {IqOptions{}});
   auto ctx = IqContext::FromIndex(w.index.get(), target);
-  EseEvaluator ese(w.index.get(), target);
-  auto single = MinCostIq(*ctx, &ese, 12);
-  ASSERT_TRUE(multi.ok() && single.ok());
-  EXPECT_EQ(multi->hits_after, single->hits_after);
-  EXPECT_NEAR(multi->total_cost, single->cost, 1e-9);
+  ASSERT_TRUE(ctx.ok());
+  auto expect_match = [&](bool min_cost) {
+    SCOPED_TRACE(min_cost ? "Min-Cost" : "Max-Hit");
+    EseEvaluator ese(w.index.get(), target);
+    auto multi =
+        min_cost ? CombinatorialMinCostIq(*w.index, {target}, 12, {IqOptions{}})
+                 : CombinatorialMaxHitIq(*w.index, {target}, 0.3, {IqOptions{}});
+    auto single = min_cost ? MinCostIq(*ctx, &ese, 12)
+                           : MaxHitIq(*ctx, &ese, 0.3);
+    ASSERT_TRUE(multi.ok() && single.ok());
+    EXPECT_EQ(multi->hits_after, single->hits_after);
+    EXPECT_NEAR(multi->total_cost, single->cost, 1e-9);
+    EXPECT_GT(single->hits_after, single->hits_before);
+  };
+  expect_match(/*min_cost=*/true);
+  expect_match(/*min_cost=*/false);
 }
 
 TEST(CombinatorialTest, ErrorPaths) {

@@ -3,6 +3,7 @@
 #include "data/io.h"
 #include "data/queries.h"
 #include "data/synthetic.h"
+#include "data/workload.h"
 
 namespace iq {
 namespace {
@@ -64,12 +65,43 @@ TEST(IoTest, LoadErrors) {
   ASSERT_TRUE(WriteCsvFile(bad, path).ok());
   EXPECT_FALSE(LoadQueriesCsv(path).ok());
 
-  // k must be positive.
-  CsvTable bad_k;
-  bad_k.header = {"k", "w1"};
-  bad_k.rows = {{"0", "0.5"}};
-  ASSERT_TRUE(WriteCsvFile(bad_k, path).ok());
-  EXPECT_FALSE(LoadQueriesCsv(path).ok());
+  // k must be positive and fit an int: 2^32 + 1 used to load as k = 1.
+  for (const char* k : {"0", "2147483648", "4294967297"}) {
+    SCOPED_TRACE(k);
+    CsvTable bad_k;
+    bad_k.header = {"k", "w1"};
+    bad_k.rows = {{k, "0.5"}};
+    ASSERT_TRUE(WriteCsvFile(bad_k, path).ok());
+    EXPECT_EQ(LoadQueriesCsv(path).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  CsvTable max_k;
+  max_k.header = {"k", "w1"};
+  max_k.rows = {{"2147483647", "0.5"}};
+  ASSERT_TRUE(WriteCsvFile(max_k, path).ok());
+  auto loaded = LoadQueriesCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)[0].k, 2147483647);
+}
+
+TEST(IoTest, NonFiniteQueryWeightFailsWorkloadMake) {
+  // The CSV parser reads these as doubles; the query set must refuse them
+  // (an infinite weight used to abort the first MinCost call, a NaN one
+  // was kept silently).
+  std::string path = testing::TempDir() + "/iq_nonfinite_queries.csv";
+  for (const char* w : {"inf", "-inf", "1e999", "nan"}) {
+    SCOPED_TRACE(w);
+    CsvTable csv;
+    csv.header = {"k", "w1", "w2"};
+    csv.rows = {{"1", "0.5", "0.5"}, {"2", w, "0.5"}};
+    ASSERT_TRUE(WriteCsvFile(csv, path).ok());
+    auto queries = LoadQueriesCsv(path);
+    ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+    auto workload = Workload::Make(MakeIndependent(20, 2, 14),
+                                   LinearForm::Identity(2),
+                                   std::move(*queries));
+    EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -454,7 +454,8 @@ TEST(TraceCausalTest, TracezSpanNameWithJsonSpecialsRoundTrips) {
 TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
   // With ParallelFor spans in the rings, a serial greedy search splits into
   // its layers: every BuildCandidates span has a candidate-solve and a
-  // candidate-eval child, and the analyzer ranks both by self time.
+  // candidate-eval child, each iteration's select/apply span sits beside it
+  // under MaxHitIq, and the analyzer ranks all three by self time.
   auto engine = MakeTracedEngine(60, 30, 3, 77, /*num_threads=*/0);
   ASSERT_TRUE(engine.ok());
   TraceCollector& tc = TraceCollector::Global();
@@ -470,8 +471,15 @@ TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
   for (const TraceEvent& s : rt.spans) {
     child_names[s.parent_span_id].insert(s.name);
   }
+  std::map<uint64_t, std::string> name_of;
+  for (const TraceEvent& s : rt.spans) name_of[s.span_id] = s.name;
   int build_candidates = 0;
+  int select_apply = 0;
   for (const TraceEvent& s : rt.spans) {
+    if (std::string(s.name) == "greedy.select_apply") {
+      ++select_apply;
+      EXPECT_EQ(name_of[s.parent_span_id], "MaxHitIq");
+    }
     if (std::string(s.name) != "BuildCandidates") continue;
     ++build_candidates;
     const std::multiset<std::string>& kids = child_names[s.span_id];
@@ -479,12 +487,15 @@ TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
     EXPECT_EQ(kids.count("greedy.candidate_eval"), 1u);
   }
   EXPECT_GT(build_candidates, 0);
+  // One select/apply span per iteration, after its candidates.
+  EXPECT_GT(select_apply, 0);
+  EXPECT_LE(select_apply, build_candidates);
 
   const TraceDump dump = ParseTracezDump(tc.TracezJson());
   ASSERT_EQ(dump.traces.size(), 1u);
   const TraceAnalysis analysis = AnalyzeTrace(dump.traces[0]);
-  for (const char* layer :
-       {"greedy.candidate_solve", "greedy.candidate_eval"}) {
+  for (const char* layer : {"greedy.candidate_solve", "greedy.candidate_eval",
+                            "greedy.select_apply"}) {
     auto ranked = std::find_if(
         analysis.self_time.begin(), analysis.self_time.end(),
         [&](const SelfTimeRollup& r) { return r.name == layer; });

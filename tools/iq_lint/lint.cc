@@ -70,7 +70,8 @@ std::vector<std::string> SanitizeLines(const std::vector<std::string>& raw) {
               ++i;  // malformed; treat as code
               break;
             }
-            raw_delim = ")" + line.substr(i + 2, paren - (i + 2)) + "\"";
+            raw_delim.assign(1, ')');
+            raw_delim.append(line, i + 2, paren - (i + 2)).append(1, '"');
             for (size_t j = i; j <= paren; ++j) line[j] = ' ';
             i = paren + 1;
             state = State::kRawString;
