@@ -63,6 +63,33 @@ void BM_EseScanEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_EseScanEvaluate)->Args({10000, 1000})->Args({10000, 4000});
 
+// One HitsForCoeffsBatch call over kCandidates candidates per iteration;
+// items are candidates, so items_per_second compares with the inverse of
+// BM_EseScanEvaluate's time per call.
+void BM_EseBatchEvaluate(benchmark::State& state) {
+  constexpr int kCandidates = 64;
+  Workload& w = SharedWorkload(static_cast<int>(state.range(0)),
+                               static_cast<int>(state.range(1)));
+  EseEvaluator ese(w.index.get(), 0);
+  Rng rng(9);
+  const int slots = w.view->num_slots();
+  std::vector<double> coeffs;
+  for (int c = 0; c < kCandidates; ++c) {
+    Vec s(static_cast<size_t>(PaperParams::kDim));
+    for (auto& v : s) v = rng.UniformDouble(-0.05, 0.05);
+    Vec cc = w.view->CoefficientsFor(Add(w.data->attrs(0), s));
+    coeffs.insert(coeffs.end(), cc.begin(), cc.end());
+  }
+  std::vector<int> hits(kCandidates);
+  for (auto _ : state) {
+    ese.HitsForCoeffsBatch(coeffs.data(), slots, kCandidates, hits.data());
+    benchmark::DoNotOptimize(hits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCandidates);
+}
+BENCHMARK(BM_EseBatchEvaluate)->Args({10000, 1000})->Args({10000, 4000});
+
 void BM_EseWedgeEvaluate(benchmark::State& state) {
   Workload& w = SharedWorkload(static_cast<int>(state.range(0)),
                                static_cast<int>(state.range(1)));

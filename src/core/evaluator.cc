@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topk/topk.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace iq {
@@ -37,6 +38,18 @@ struct EseMetrics {
 
 }  // namespace
 
+void StrategyEvaluator::HitsForCoeffsBatch(const double* coeffs,
+                                           int num_slots, int count,
+                                           int* hits) {
+  const size_t stride = static_cast<size_t>(num_slots);
+  Vec c(stride);
+  for (int i = 0; i < count; ++i) {
+    const double* ci = coeffs + static_cast<size_t>(i) * stride;
+    c.assign(ci, ci + stride);
+    hits[i] = HitsForCoeffs(c);
+  }
+}
+
 EseEvaluator::EseEvaluator(const SubdomainIndex* index, int target)
     : index_(index), target_(target) {
   thresholds_ = index_->HitThresholds(target);
@@ -58,15 +71,23 @@ EseEvaluator::EseEvaluator(const SubdomainIndex* index, int target)
 }
 
 int EseEvaluator::HitsForCoeffs(const Vec& c) {
-  ++calls_;
+  int hits = 0;
+  HitsForCoeffsBatch(c.data(), query_kernel_->num_slots(), 1, &hits);
+  return hits;
+}
+
+void EseEvaluator::HitsForCoeffsBatch(const double* coeffs, int num_slots,
+                                      int count, int* hits) {
+  IQ_DCHECK(num_slots == query_kernel_->num_slots());
   // Same per-query Dot order and HitByThreshold comparison as a scalar loop
-  // over the active queries, so the count is bit-identical to it.
-  const int hits = query_kernel_->CountHits(c, dense_thresholds_);
-  const uint64_t scored = static_cast<uint64_t>(query_kernel_->num_rows());
+  // over the active queries, so every count is bit-identical to it.
+  query_kernel_->CountHitsBatch(coeffs, count, dense_thresholds_, hits);
+  const uint64_t n = static_cast<uint64_t>(count);
+  const uint64_t scored = static_cast<uint64_t>(query_kernel_->num_rows()) * n;
+  calls_ += n;
   queries_rescored_ += scored;
   EseMetrics::Get().queries_reranked->Increment(scored);
-  EseMetrics::Get().scan_evaluations->Increment();
-  return hits;
+  EseMetrics::Get().scan_evaluations->Increment(n);
 }
 
 std::vector<int> EseEvaluator::AffectedQueries(const Vec& c_from,

@@ -39,18 +39,28 @@ class StrategyEvaluator {
   /// H for the improved target's coefficient vector.
   virtual int HitsForCoeffs(const Vec& c) = 0;
 
+  /// H for `count` candidates at once: hits[i] is HitsForCoeffs(c_i), where
+  /// c_i is the `num_slots` doubles at coeffs + i * num_slots. calls()
+  /// advances by `count`. The default loops over HitsForCoeffs, so RTA,
+  /// BruteForce and a decorator that forwards only HitsForCoeffs see every
+  /// candidate; EseEvaluator scores the whole batch in one kernel pass.
+  virtual void HitsForCoeffsBatch(const double* coeffs, int num_slots,
+                                  int count, int* hits);
+
   /// H of the unimproved target.
   virtual int base_hits() const = 0;
 
   virtual const char* name() const = 0;
 
-  /// True when HitsForCoeffs may be called from several threads at once
-  /// (the implementation only reads shared state and keeps its accounting
-  /// in the atomic counters below). The parallel candidate-evaluation path
-  /// checks this and falls back to a serial loop otherwise.
+  /// True when HitsForCoeffs and HitsForCoeffsBatch may be called from
+  /// several threads at once (the implementation only reads shared state
+  /// and keeps its accounting in the atomic counters below). The parallel
+  /// candidate-evaluation path checks this and falls back to a serial loop
+  /// otherwise.
   virtual bool SupportsConcurrentEval() const { return false; }
 
-  /// Number of HitsForCoeffs calls so far (experiment bookkeeping).
+  /// Number of evaluations so far, one per HitsForCoeffs call or batch
+  /// member (experiment bookkeeping).
   size_t calls() const { return calls_.load(std::memory_order_relaxed); }
 
   /// Queries whose hit state was recomputed (scored against the improved
@@ -88,7 +98,11 @@ class EseEvaluator : public StrategyEvaluator {
  public:
   EseEvaluator(const SubdomainIndex* index, int target);
 
+  /// A batch of one.
   int HitsForCoeffs(const Vec& c) override;
+  /// ScoreKernel::CountHitsBatch over the query kernel.
+  void HitsForCoeffsBatch(const double* coeffs, int num_slots, int count,
+                          int* hits) override;
   int base_hits() const override { return base_hits_; }
   const char* name() const override { return "Efficient-IQ"; }
   /// Pure reads over the index's cached thresholds; safe to share.
@@ -118,7 +132,7 @@ class EseEvaluator : public StrategyEvaluator {
   /// SoA batch path for the scan evaluation (DESIGN.md §13): the index's
   /// query kernel captured at construction (it mirrors the active queries),
   /// plus thresholds_ re-indexed densely to the kernel's row order so
-  /// CountHits runs one fused pass.
+  /// CountHitsBatch runs one fused pass.
   std::shared_ptr<const ScoreKernel> query_kernel_;
   std::vector<double> dense_thresholds_;
 };

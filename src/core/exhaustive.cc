@@ -201,29 +201,54 @@ Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
   IqResult r;
   r.hits_before = ctx.CountHitsBy(ctx.view().coeffs(ctx.target()));
 
-  Vec best_strategy = Zeros(dim);
-  double best_cost = 0.0;
+  // Feasibility is monotone in h (every subset of a subset inside the
+  // budget is inside it too), so the largest feasible size is found by
+  // scanning sizes upward and stopping at the first size with no subset
+  // inside the budget. A size is settled by its first feasible subset; the
+  // one-element extensions of the last size's feasible subset are tried
+  // first, since one of them usually fits.
+  auto fits = [&](const std::vector<int>& pick, Vec* s) {
+    const double c = SubsetCost(hs, pick, options.iq, box, s);
+    return c <= beta ? c : kInf;
+  };
+  std::vector<int> feasible_pick;
   int best_h = 0;
-  for (int h = m; h >= 1; --h) {
-    double best_cost_at_h = kInf;
-    Vec best_s_at_h;
-    ForEachSubset(m, h, [&](const std::vector<int>& pick) {
-      Vec s;
-      double c = SubsetCost(hs, pick, options.iq, box, &s);
-      if (c <= beta && c < best_cost_at_h) {
-        best_cost_at_h = c;
-        best_s_at_h = std::move(s);
+  for (int h = 1; h <= m; ++h) {
+    bool feasible = false;
+    Vec s;
+    for (int j = 0; j < m && !feasible; ++j) {
+      std::vector<int> pick = feasible_pick;
+      auto at = std::lower_bound(pick.begin(), pick.end(), j);
+      if (at != pick.end() && *at == j) continue;
+      pick.insert(at, j);
+      if (std::isfinite(fits(pick, &s))) {
+        feasible = true;
+        feasible_pick = std::move(pick);
       }
-      return true;
-    });
-    if (std::isfinite(best_cost_at_h)) {
-      best_strategy = best_s_at_h;
-      best_cost = best_cost_at_h;
-      best_h = h;
-      break;
     }
+    if (!feasible) {
+      ForEachSubset(m, h, [&](const std::vector<int>& pick) {
+        feasible = std::isfinite(fits(pick, &s));
+        if (feasible) feasible_pick = pick;
+        return !feasible;
+      });
+    }
+    if (!feasible) break;
+    best_h = h;
   }
-  (void)best_h;
+  // The answer: the first min-cost subset of that size, in enumeration
+  // order.
+  Vec best_strategy = Zeros(dim);
+  double best_cost = best_h > 0 ? kInf : 0.0;
+  ForEachSubset(m, best_h, [&](const std::vector<int>& pick) {
+    Vec s;
+    const double c = fits(pick, &s);
+    if (c < best_cost) {
+      best_cost = c;
+      best_strategy = std::move(s);
+    }
+    return true;
+  });
 
   r.strategy = best_strategy;
   r.cost = best_cost;

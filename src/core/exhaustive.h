@@ -25,8 +25,10 @@ struct ExhaustiveOptions {
 Result<IqResult> ExhaustiveMinCost(const IqContext& ctx, int tau,
                                    const ExhaustiveOptions& options = {});
 
-/// Optimal Max-Hit improvement strategy (Eq. 15-18): searches subset sizes
-/// h = m..1 for the largest h admitting a strategy within budget.
+/// Optimal Max-Hit improvement strategy (Eq. 15-18): finds the largest
+/// subset size h admitting a strategy within budget by scanning h = 1, 2, ..
+/// up to the first size that admits none, then returns the first min-cost
+/// subset of size h in enumeration order.
 Result<IqResult> ExhaustiveMaxHit(const IqContext& ctx, double beta,
                                   const ExhaustiveOptions& options = {});
 

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/greedy_step.h"
+#include "core/score_kernel.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -221,24 +222,38 @@ Result<HitSolution> IqContext::SolveCandidate(int q, const Vec& p_cur,
 
 namespace {
 
+/// Candidates per claimable unit of the pooled H evaluation: a whole number
+/// of the kernel's candidate blocks, so every unit is one batch call.
+constexpr int64_t kEvalBlock = 4 * ScoreKernel::kBatchLanes;
+
+/// Buffers one search reuses for every iteration's H evaluation: candidate
+/// i's coefficients at coeffs[i * num_slots], its H at hits[i].
+struct EvalScratch {
+  std::vector<double> coeffs;
+  std::vector<int> hits;
+};
+
 /// Generates and evaluates all candidates for the current iteration, in
 /// ascending query-id order (cheapest first once candidate_eval_limit
-/// prunes them).
+/// prunes them). A Max-Hit goal drops the steps that break its budget
+/// before H is computed: PickStep would never admit them.
 ///
 /// Parallel execution (DESIGN.md §8): when options.pool is set, the
 /// per-query candidate solves — and, for thread-safe evaluators, the
-/// per-candidate H evaluations — fan out over the pool. Each unit writes
-/// into its own pre-assigned slot and the slots are compacted in query-id
-/// order afterwards, so the returned vector is bit-identical to the serial
-/// path for every thread count (the deterministic reduction the
-/// differential tests pin down).
+/// H evaluations, kEvalBlock candidates per batch call — fan out over the
+/// pool. Each unit writes into its own pre-assigned slots and the slots are
+/// compacted in query-id order afterwards, so the returned vector is
+/// bit-identical to the serial path for every thread count (the
+/// deterministic reduction the differential tests pin down).
 std::vector<StepCandidate> BuildCandidates(const IqContext& ctx,
                                            StrategyEvaluator* evaluator,
                                            const Vec& p_cur,
                                            const Vec& s_total,
                                            const Vec& c_cur,
+                                           const SearchGoal& goal,
                                            const IqOptions& options,
                                            bool evaluate_hits,
+                                           EvalScratch* scratch,
                                            EvalBreakdown* bd) {
   IQ_TRACE_SCOPE_ARG("BuildCandidates", ctx.target());
   std::vector<StepCandidate> out;
@@ -312,29 +327,49 @@ std::vector<StepCandidate> BuildCandidates(const IqContext& ctx,
     }
     out = std::move(kept);
   }
+  if (!goal.min_cost) {
+    std::erase_if(out, [&](const StepCandidate& c) {
+      return !(options.cost.Cost(Add(s_total, c.step)) <= goal.beta);
+    });
+  }
   if (evaluate_hits) {
     WallTimer eval_timer;
+    const int slots = ctx.view().num_slots();
+    const int64_t n = static_cast<int64_t>(out.size());
+    scratch->coeffs.resize(out.size() * static_cast<size_t>(slots));
+    scratch->hits.resize(out.size());
     ThreadPool* eval_pool =
         evaluator->SupportsConcurrentEval() ? options.pool : nullptr;
-    if (eval_pool != nullptr && out.size() > 1) {
+    // The serial path runs all blocks as one range: one batch call.
+    const int64_t blocks = (n + kEvalBlock - 1) / kEvalBlock;
+    if (eval_pool != nullptr && blocks > 1) {
       SearchMetrics::Get().parallel_eval_batches->Increment();
-      if (static_cast<int64_t>(out.size()) >
-          16 * static_cast<int64_t>(eval_pool->num_threads())) {
+      if (blocks > 16 * static_cast<int64_t>(eval_pool->num_threads())) {
         EventLog::Global().Record(EventLog::PoolSaturation(
-            "candidate_eval", static_cast<int64_t>(out.size()),
-            eval_pool->num_threads()));
+            "candidate_eval", blocks, eval_pool->num_threads()));
       }
     }
-    ParallelForOrSerial(eval_pool, static_cast<int64_t>(out.size()),
-                        [&](int64_t begin, int64_t end) {
-                          for (int64_t i = begin; i < end; ++i) {
-                            StepCandidate& cand = out[static_cast<size_t>(i)];
-                            Vec c_cand = ctx.view().CoefficientsFor(
-                                Add(p_cur, cand.step));
-                            cand.hits = evaluator->HitsForCoeffs(c_cand);
-                          }
-                        },
-                        "greedy.candidate_eval");
+    ParallelForOrSerial(
+        eval_pool, blocks,
+        [&](int64_t first_block, int64_t end_block) {
+          const int64_t begin = first_block * kEvalBlock;
+          const int64_t end = std::min(end_block * kEvalBlock, n);
+          double* coeffs = scratch->coeffs.data();
+          Vec point;
+          for (int64_t i = begin; i < end; ++i) {
+            point = p_cur;
+            AddInPlace(&point, out[static_cast<size_t>(i)].step);
+            ctx.view().form().CoefficientsInto(
+                point, coeffs + static_cast<size_t>(i) *
+                                    static_cast<size_t>(slots));
+          }
+          evaluator->HitsForCoeffsBatch(
+              coeffs + static_cast<size_t>(begin) * static_cast<size_t>(slots),
+              slots, static_cast<int>(end - begin),
+              scratch->hits.data() + begin);
+        },
+        "greedy.candidate_eval");
+    for (size_t i = 0; i < out.size(); ++i) out[i].hits = scratch->hits[i];
     bd->eval_seconds += eval_timer.ElapsedSeconds();
     bd->candidates_evaluated += out.size();
     SearchMetrics::Get().eval_nanos->Record(eval_timer.ElapsedNanos());
@@ -462,16 +497,16 @@ Result<IqResult> ImprovementSearch(const IqContext& ctx,
   const int max_iters = options.max_iterations > 0
                             ? options.max_iterations
                             : goal.IterationCap(ctx.queries().size());
-  auto fits_budget = [&](const StepCandidate& c) {
-    return options.cost.Cost(Add(s_total, c.step)) <= goal.beta;
-  };
+  // BuildCandidates has already dropped every step over a Max-Hit budget.
+  auto fits_budget = [](const StepCandidate&) { return true; };
+  EvalScratch scratch;
 
   int iter = 0;
   while (!goal.Reached(cur_hits) && iter < max_iters) {
     ++iter;
     std::vector<StepCandidate> candidates =
-        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, options,
-                        /*evaluate_hits=*/best_ratio, &bd);
+        BuildCandidates(ctx, evaluator, p_cur, s_total, c_cur, goal, options,
+                        /*evaluate_hits=*/best_ratio, &scratch, &bd);
     IQ_TRACE_SCOPE("greedy.select_apply");
     const StepCandidate* best =
         PickStep(candidates, rule, goal, cur_hits, fits_budget);

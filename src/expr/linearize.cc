@@ -67,8 +67,14 @@ LinearForm LinearForm::FromSlots(std::vector<AttrPoly> slots, int num_weights,
 
 Vec LinearForm::Coefficients(const Vec& attrs) const {
   Vec c(slots_.size());
-  for (size_t j = 0; j < slots_.size(); ++j) c[j] = EvalPoly(slots_[j], attrs);
+  CoefficientsInto(attrs, c.data());
   return c;
+}
+
+void LinearForm::CoefficientsInto(const Vec& attrs, double* out) const {
+  for (size_t j = 0; j < slots_.size(); ++j) {
+    out[j] = EvalPoly(slots_[j], attrs);
+  }
 }
 
 Vec LinearForm::AugmentWeights(const Vec& weights) const {

@@ -53,6 +53,8 @@ class LinearForm {
 
   /// Augmented coefficient vector of an object (length num_slots()).
   Vec Coefficients(const Vec& attrs) const;
+  /// Coefficients(attrs) written to out[0 .. num_slots()).
+  void CoefficientsInto(const Vec& attrs, double* out) const;
 
   /// Augmented weight vector of a query (length num_slots()).
   Vec AugmentWeights(const Vec& weights) const;

@@ -138,6 +138,128 @@ TEST(KernelEquivTest, EmptyAndDegenerateKernels) {
 }
 
 // ---------------------------------------------------------------------------
+// CountHitsBatch vs CountHits: every candidate's count, bit for bit
+// ---------------------------------------------------------------------------
+
+// out[c] of one batch call against one CountHits call per candidate.
+void ExpectBatchMatchesSingle(const ScoreKernel& kernel,
+                              const std::vector<Vec>& cands,
+                              const std::vector<double>& thresholds) {
+  const size_t slots = static_cast<size_t>(kernel.num_slots());
+  std::vector<double> flat;
+  for (const Vec& c : cands) flat.insert(flat.end(), c.begin(), c.end());
+  ASSERT_EQ(flat.size(), cands.size() * slots);
+  std::vector<int> batch(cands.size(), -1);
+  kernel.CountHitsBatch(flat.data(), static_cast<int>(cands.size()),
+                        thresholds, batch.data());
+  for (size_t c = 0; c < cands.size(); ++c) {
+    EXPECT_EQ(batch[c], kernel.CountHits(cands[c], thresholds))
+        << "candidate " << c << " of " << cands.size();
+  }
+}
+
+// Slot counts 1-6 cover the kBatchSlots specialisation and the generic
+// loop; 0, 1, 7, 8, 9 and 33 candidates cover no block, a lone remainder,
+// exactly one block, a block plus remainder and several blocks.
+TEST(KernelEquivTest, CountHitsBatchBitIdenticalToCountHitsOnRandomWorlds) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int slots = 1 + trial % 6;
+    const int n = static_cast<int>(rng.UniformInt(0, 300));
+    SCOPED_TRACE(testing::Message()
+                 << "trial " << trial << " n=" << n << " slots=" << slots);
+    std::vector<Vec> rows;
+    std::vector<bool> active;
+    for (int i = 0; i < n; ++i) {
+      rows.push_back(rng.UniformVector(slots, -1.0, 1.0));
+      active.push_back(!rng.Bernoulli(0.2));
+    }
+    ScoreKernel kernel = ScoreKernel::Build(rows, &active, slots);
+
+    for (int count : {0, 1, 7, 8, 9, 33}) {
+      SCOPED_TRACE(testing::Message() << "candidates " << count);
+      std::vector<Vec> cands;
+      for (int c = 0; c < count; ++c) {
+        cands.push_back(rng.UniformVector(slots, -2.0, 2.0));
+      }
+      // Thresholds mix NaN (never a hit), exact ties with the first
+      // candidate's scores (strict <: no hit for it) and random values.
+      std::vector<double> first_scores;
+      if (count > 0) kernel.ScoreAll(cands[0], &first_scores);
+      std::vector<double> thresholds(static_cast<size_t>(kernel.num_rows()));
+      for (int d = 0; d < kernel.num_rows(); ++d) {
+        const double pick = rng.UniformDouble();
+        double t = rng.UniformDouble(-3.0, 3.0);
+        if (pick < 0.1) {
+          t = std::numeric_limits<double>::quiet_NaN();
+        } else if (pick < 0.3 && count > 0) {
+          t = first_scores[static_cast<size_t>(d)];
+        }
+        thresholds[static_cast<size_t>(d)] = t;
+      }
+      ExpectBatchMatchesSingle(kernel, cands, thresholds);
+    }
+  }
+}
+
+TEST(KernelEquivTest, CountHitsBatchOnEmptyKernelCountsNothing) {
+  for (int slots : {2, ScoreKernel::kBatchSlots}) {
+    std::vector<Vec> rows(4, Vec(static_cast<size_t>(slots), 0.5));
+    std::vector<bool> none(rows.size(), false);
+    ScoreKernel empty = ScoreKernel::Build(rows, &none, slots);
+    ASSERT_TRUE(empty.empty());
+    for (int count : {0, 1, 8, 9}) {
+      std::vector<double> flat(static_cast<size_t>(count * slots), 1.0);
+      std::vector<int> out(static_cast<size_t>(count), -1);
+      empty.CountHitsBatch(flat.data(), count, {}, out.data());
+      for (int hits : out) EXPECT_EQ(hits, 0);
+    }
+  }
+}
+
+TEST(KernelEquivTest, CountHitsBatchKeepsCatastrophicCancellationOrder) {
+  // The cancellation row of FpOrderContractCatastrophicCancellation, scored
+  // in every lane of a full block plus a remainder: each lane must give the
+  // index-order sum 0.0 (a hit at 0.5), never the reassociated 1.0.
+  std::vector<Vec> rows = {{1e16, 1.0, -1e16}, {0.25, 0.25, 0.25}};
+  ScoreKernel kernel = ScoreKernel::Build(rows, nullptr, 3);
+  std::vector<Vec> cands(9, Vec{1.0, 1.0, 1.0});
+  cands[3] = {1.0, 2.0, 1.0};  // 1e16 + 2.0 - 1e16 == 2.0: no hit at 0.5
+  std::vector<double> flat;
+  for (const Vec& c : cands) flat.insert(flat.end(), c.begin(), c.end());
+  std::vector<int> out(cands.size(), -1);
+  kernel.CountHitsBatch(flat.data(), static_cast<int>(cands.size()),
+                        {0.5, 0.5}, out.data());
+  for (size_t c = 0; c < cands.size(); ++c) {
+    EXPECT_EQ(out[c], c == 3 ? 0 : 1) << "candidate " << c;
+  }
+  ExpectBatchMatchesSingle(kernel, cands, {0.5, 0.5});
+}
+
+TEST(KernelEquivTest, CountHitsBatchExactTiesNeverHit) {
+  // Exact binary fractions: the duplicate rows score exactly 1.0 and row 2
+  // exactly 0.75 under every candidate below, so a threshold of 1.0 ties the
+  // duplicates (no hit) and is beaten only by row 2. The zero third slot
+  // keeps the rows on the kBatchSlots path; the 2-slot copy takes the
+  // generic one.
+  for (int slots : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << "slots " << slots);
+    std::vector<Vec> rows = {{0.5, 0.5}, {0.5, 0.5}, {0.25, 0.5}, {0.5, 0.5}};
+    for (Vec& r : rows) r.resize(static_cast<size_t>(slots), 0.0);
+    ScoreKernel kernel = ScoreKernel::Build(rows, nullptr, slots);
+    std::vector<Vec> cands(33, Vec(static_cast<size_t>(slots), 1.0));
+    const std::vector<double> ties(4, 1.0);
+    std::vector<double> flat;
+    for (const Vec& c : cands) flat.insert(flat.end(), c.begin(), c.end());
+    std::vector<int> out(cands.size(), -1);
+    kernel.CountHitsBatch(flat.data(), static_cast<int>(cands.size()), ties,
+                          out.data());
+    for (int hits : out) EXPECT_EQ(hits, 1);
+    ExpectBatchMatchesSingle(kernel, cands, ties);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Index lifecycle: the kernels mirror their owners after every hook
 // ---------------------------------------------------------------------------
 

@@ -206,6 +206,83 @@ TEST(ParallelDiffTest, GreedySearchesIdenticalAcrossThreadCounts) {
   }
 }
 
+// A decorator in the shape of a timing wrapper: it overrides only
+// HitsForCoeffs and mirrors the inner evaluator's counters, so every batch
+// the search issues reaches it through StrategyEvaluator's default loop.
+class ForwardingEvaluator : public StrategyEvaluator {
+ public:
+  explicit ForwardingEvaluator(StrategyEvaluator* inner) : inner_(inner) {
+    Mirror();
+  }
+
+  int HitsForCoeffs(const Vec& c) override {
+    const int hits = inner_->HitsForCoeffs(c);
+    Mirror();
+    ++forwarded_;
+    return hits;
+  }
+  int base_hits() const override { return inner_->base_hits(); }
+  const char* name() const override { return inner_->name(); }
+
+  size_t forwarded() const { return forwarded_; }
+
+ private:
+  void Mirror() {
+    calls_.store(inner_->calls(), std::memory_order_relaxed);
+    queries_rescored_.store(inner_->queries_rescored(),
+                            std::memory_order_relaxed);
+    queries_reused_.store(inner_->queries_reused(), std::memory_order_relaxed);
+  }
+
+  StrategyEvaluator* inner_;
+  size_t forwarded_ = 0;
+};
+
+TEST(ParallelDiffTest, ForwardingDecoratorMatchesBareEseEvaluator) {
+  // The wrapped search runs its H evaluations one candidate at a time, the
+  // bare one through the batched kernel; results and counters must agree.
+  Rng rng(20261020);
+  ThreadPool pool2(2), pool4(4);
+  ThreadPool* pools[] = {nullptr, &pool2, &pool4};
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(16, 64));
+    const int m = static_cast<int>(rng.UniformInt(20, 60));
+    const int dim = 2 + trial % 2;  // 3 slots take the specialised kernel
+    const uint64_t seed = rng.NextUint64(1'000'000);
+    TestWorld w = TestWorld::Linear(n, m, dim, seed);
+    const int target = static_cast<int>(rng.UniformInt(0, n - 1));
+    const int tau = static_cast<int>(rng.UniformInt(1, m / 2 + 1));
+    const double beta = rng.UniformDouble(0.05, 0.5);
+    auto ctx = IqContext::FromIndex(w.index.get(), target);
+    ASSERT_TRUE(ctx.ok());
+    for (ThreadPool* pool : pools) {
+      SCOPED_TRACE(testing::Message()
+                   << "trial " << trial << " threads "
+                   << (pool == nullptr ? 0 : pool->num_threads()) << " (n="
+                   << n << " m=" << m << " d=" << dim << ")");
+      IqOptions options;
+      options.pool = pool;
+      EseEvaluator bare_mc(w.index.get(), target);
+      EseEvaluator inner_mc(w.index.get(), target);
+      ForwardingEvaluator wrapped_mc(&inner_mc);
+      auto mc = MinCostIq(*ctx, &bare_mc, tau, options);
+      auto mc_wrapped = MinCostIq(*ctx, &wrapped_mc, tau, options);
+      ASSERT_TRUE(mc.ok() && mc_wrapped.ok());
+      ExpectIdenticalResults(*mc, *mc_wrapped, "MinCost");
+      EXPECT_EQ(wrapped_mc.forwarded(), mc_wrapped->evaluator_calls);
+
+      EseEvaluator bare_mh(w.index.get(), target);
+      EseEvaluator inner_mh(w.index.get(), target);
+      ForwardingEvaluator wrapped_mh(&inner_mh);
+      auto mh = MaxHitIq(*ctx, &bare_mh, beta, options);
+      auto mh_wrapped = MaxHitIq(*ctx, &wrapped_mh, beta, options);
+      ASSERT_TRUE(mh.ok() && mh_wrapped.ok());
+      ExpectIdenticalResults(*mh, *mh_wrapped, "MaxHit");
+      EXPECT_EQ(wrapped_mh.forwarded(), mh_wrapped->evaluator_calls);
+    }
+  }
+}
+
 TEST(ParallelDiffTest, GreedyNeverBeatsExhaustiveOnTinyWorlds) {
   // Outside-the-implementation oracle: on m <= 8 the exhaustive subset
   // search is tractable, and the parallel greedy result must respect the

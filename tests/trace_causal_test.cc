@@ -475,6 +475,12 @@ TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
   for (const TraceEvent& s : rt.spans) name_of[s.span_id] = s.name;
   int build_candidates = 0;
   int select_apply = 0;
+  uint64_t last_build_start = 0;
+  for (const TraceEvent& s : rt.spans) {
+    if (std::string(s.name) == "BuildCandidates") {
+      last_build_start = std::max(last_build_start, s.start_ns);
+    }
+  }
   for (const TraceEvent& s : rt.spans) {
     if (std::string(s.name) == "greedy.select_apply") {
       ++select_apply;
@@ -484,9 +490,16 @@ TEST(TraceCausalTest, SerialMaxHitTraceSplitsCandidateSolveAndEval) {
     ++build_candidates;
     const std::multiset<std::string>& kids = child_names[s.span_id];
     EXPECT_EQ(kids.count("greedy.candidate_solve"), 1u);
-    EXPECT_EQ(kids.count("greedy.candidate_eval"), 1u);
+    // Max-Hit drops the steps over its budget before H is computed, so the
+    // iteration that ends the search may have nothing left to evaluate;
+    // every iteration that applies a step evaluated its candidates.
+    if (s.start_ns == last_build_start) {
+      EXPECT_LE(kids.count("greedy.candidate_eval"), 1u);
+    } else {
+      EXPECT_EQ(kids.count("greedy.candidate_eval"), 1u);
+    }
   }
-  EXPECT_GT(build_candidates, 0);
+  EXPECT_GT(build_candidates, 1);
   // One select/apply span per iteration, after its candidates.
   EXPECT_GT(select_apply, 0);
   EXPECT_LE(select_apply, build_candidates);

@@ -506,10 +506,10 @@ const std::regex kScalarScoreCallRe(R"(\bDot\s*\(|(->|\.)\s*Score\s*\()");
 const std::regex kLoopHeadRe(R"(\b(for|while)\s*\()");
 
 /// src/core/ hot paths must score object/query sets through the ScoreKernel
-/// batch calls (ScoreAll/TopKappaSignature/CountHits), not by calling
-/// Dot()/FunctionView::Score() once per element: the per-element form
-/// defeats the SoA layout and the vectorizer (DESIGN.md §13). A scalar
-/// scoring call inside any for/while loop is flagged unless the line
+/// batch calls (ScoreAll/TopKappaSignature/CountHits/CountHitsBatch), not
+/// by calling Dot()/FunctionView::Score() once per element: the per-element
+/// form defeats the SoA layout and the vectorizer (DESIGN.md §13). A
+/// scalar scoring call inside any for/while loop is flagged unless the line
 /// carries the raw-scoring-loop waiver — sanctioned for O(κ)-sized reads
 /// where building a kernel would cost more than it saves, and for the
 /// scalar reference paths the kernels are checked against.
@@ -539,7 +539,8 @@ void CheckRawScoringLoops(const std::string& path,
       findings->push_back(
           {"raw-scoring-loop", path, static_cast<int>(i + 1),
            "scalar Dot()/Score() call inside a loop — score the set through "
-           "a ScoreKernel batch call (ScoreAll/TopKappaSignature/CountHits), "
+           "a ScoreKernel batch call (ScoreAll/TopKappaSignature/CountHits, "
+           "or CountHitsBatch for many candidates), "
            "or waive a deliberate scalar path with // " +
                std::string(kWaiverRawScoringLoop)});
     }
